@@ -1,8 +1,11 @@
 // secp256k1 elliptic-curve group: y^2 = x^3 + 7 over F_p.
 //
-// Provides field arithmetic with the curve-specific fast reduction, Jacobian
+// Provides field arithmetic with the curve-specific fast reduction, affine
 // point arithmetic, scalar multiplication, and 33-byte point compression.
-// Used by the Schnorr signature scheme and the VRF.  Not constant-time.
+// Every point_add / point_double pays one field inversion (Fermat, a^(p-2):
+// about 510 field multiplies), so a 256-bit scalar multiply costs a few
+// hundred inversions.  Used by the Schnorr signature scheme and the VRF.  Not
+// constant-time.
 #pragma once
 
 #include <array>
@@ -43,7 +46,7 @@ const Point& generator();
 [[nodiscard]] Point point_add(const Point& a, const Point& b);
 [[nodiscard]] Point point_double(const Point& a);
 [[nodiscard]] Point point_neg(const Point& a);
-/// k * P via double-and-add (k taken mod n).
+/// k * P via right-to-left double-and-add over affine points (k taken mod n).
 [[nodiscard]] Point point_mul(const U256& k, const Point& p);
 /// k * G.
 [[nodiscard]] Point point_mul_g(const U256& k);

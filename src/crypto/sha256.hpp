@@ -30,8 +30,6 @@ class Sha256 {
   [[nodiscard]] Hash256 finish();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::uint32_t state_[8]{};
   std::uint64_t bit_count_ = 0;
   std::uint8_t buffer_[64]{};

@@ -14,15 +14,18 @@
 // suspected leader, the 2PC coordinator hedges its unicast legs, and the rumor
 // mesh tightens its pull-repair cadence when the whole network looks degraded.
 //
-// Actuation is gated on `armed()`: sampling always runs, but the advisory
-// outputs (view_timeout / pull_cadence / suspect transitions) only deviate
-// from their static defaults once a chaos plan arms the detector.  This is the
-// simulation-determinism compromise: inter-arrival statistics over bursty
-// protocol traffic inevitably cross any finite threshold during legitimate
-// quiet periods, and a spurious deviation in a clean run would break the
-// bit-identity contract every subsystem here is held to.  Faulted runs are
-// exactly the runs that arm a plan, so the detect -> react loop is live
-// precisely when there is something to react to.
+// Actuation is gated on `armed()`: the advisory outputs (view_timeout /
+// pull_cadence / suspect transitions) only deviate from their static defaults
+// once a chaos plan arms the detector.  This is the simulation-determinism
+// compromise: inter-arrival statistics over bursty protocol traffic inevitably
+// cross any finite threshold during legitimate quiet periods, and a spurious
+// deviation in a clean run would break the bit-identity contract every
+// subsystem here is held to.  Faulted runs are exactly the runs that arm a
+// plan, so the detect -> react loop is live precisely when there is something
+// to react to.  The harness runner therefore attaches the detector only when
+// a fault plan arms it: an attached but unarmed detector still samples every
+// delivery, which cost about a fifth of a clean fig5a S=12 run's host time
+// while changing nothing.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +75,7 @@ class FailureDetector final : public sim::ArrivalObserver {
   FailureDetector(sim::Simulator& sim, DetectorConfig config = {})
       : sim_(sim), config_(config) {}
 
-  /// Arms actuation (see header comment).  Sampling is unaffected.
+  /// Arms actuation (see header comment).  Sampling runs either way.
   void arm(bool on) { armed_ = on; }
   [[nodiscard]] bool armed() const { return armed_; }
 
