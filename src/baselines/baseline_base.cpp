@@ -107,10 +107,11 @@ void BaselineSystem::place_contracts() {
     const ContractId id = genesis_.contracts[c]->id;
     const ShardId s = home_of_contract(id);
     shards_[s.value]->store.create_contract_state(
-        id, c < genesis_.initial_states.size() ? genesis_.initial_states[c]
+        id, c < genesis_.initial_states.size() ? std::move(genesis_.initial_states[c])
                                                : ledger::ContractState{});
     shards_[s.value]->logic.add(genesis_.contracts[c]);
   }
+  genesis_ = Genesis{};  // placed; nothing reads it after construction
 }
 
 void BaselineSystem::start() {

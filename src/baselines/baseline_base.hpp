@@ -175,8 +175,8 @@ class BaselineSystem {
   [[nodiscard]] virtual ShardId home_of_contract(ContractId c) const;
   [[nodiscard]] ShardId home_of_account(AccountId a) const;
   [[nodiscard]] NodeId contact(ShardId s) const;
-  /// Places contract state + logic using home_of_contract(); concrete
-  /// constructors call this once.
+  /// Places contract state + logic using home_of_contract(), then releases
+  /// genesis_; concrete constructors call this once.
   void place_contracts();
 
   /// Cross-shard hand-off honoring the configured transport mode.
@@ -202,6 +202,7 @@ class BaselineSystem {
   sim::Network& net_;
   BaselineConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Held only until place_contracts() moves its states into the shards.
   Genesis genesis_;
   /// Batch execution engine shared by every shard's decide path.
   std::unique_ptr<exec::Engine> exec_engine_;

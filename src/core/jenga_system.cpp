@@ -372,7 +372,7 @@ JengaSystem::JengaSystem(sim::Simulator& sim, sim::Network& net, JengaConfig con
     const ContractId id = genesis.contracts[c]->id;
     const ShardId s = ledger::shard_of_contract(id, config_.num_shards);
     shards_[s.value]->store.create_contract_state(
-        id, c < genesis.initial_states.size() ? genesis.initial_states[c]
+        id, c < genesis.initial_states.size() ? std::move(genesis.initial_states[c])
                                               : ledger::ContractState{});
     // kNoGlobalLogic keeps logic only on the home shard.
     shards_[s.value]->local_logic.add(genesis.contracts[c]);

@@ -180,6 +180,10 @@ struct EpochStats {
   std::uint64_t boundary_balance_mismatches = 0;  // conservation broken at a boundary
 };
 
+/// Initial accounts, contract logic and contract states.  Systems take it by
+/// value and move each initial state into its home shard's store, so a caller
+/// that moves its Genesis in keeps no copy past construction.  Logic is shared
+/// (shared_ptr), never copied.
 struct Genesis {
   std::uint64_t num_accounts = 0;
   std::uint64_t initial_balance = 0;

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <utility>
 
 #include "baselines/cxfunc.hpp"
 #include "baselines/pyramid.hpp"
@@ -62,7 +63,7 @@ std::uint32_t resolve_nodes_per_shard(const RunConfig& cfg) {
   auto k = static_cast<std::uint32_t>(paper_nodes_per_shard(cfg.num_shards) * cfg.scale);
   k = std::max(cfg.num_shards, k - k % cfg.num_shards);  // integral subgroups
   // BFT needs at least 4 members.
-  return std::max<std::uint32_t>(k, 4 + (4 % cfg.num_shards == 0 ? 0 : 0));
+  return std::max<std::uint32_t>(k, 4);
 }
 
 }  // namespace
@@ -73,7 +74,8 @@ RunResult run_experiment(const RunConfig& config) {
   workload::TraceGenerator gen(config.trace, Rng(config.seed ^ 0x7ACE));
   sim::Simulator sim;
   sim::Network net(sim, config.net, Rng(config.seed ^ 0x9E7));
-  const core::Genesis genesis = make_genesis(gen);
+  // Moved into the system below; no copy of it outlives construction.
+  core::Genesis genesis = make_genesis(gen);
 
   // Always-on telemetry: passive recording, bit-identical runs.
   auto telemetry = std::make_shared<telemetry::Telemetry>();
@@ -115,7 +117,7 @@ RunResult run_experiment(const RunConfig& config) {
                     : config.kind == SystemKind::kJengaNoLattice
                         ? core::Pipeline::kNoLattice
                         : core::Pipeline::kNoGlobalLogic;
-      jenga = std::make_unique<core::JengaSystem>(sim, net, jc, genesis);
+      jenga = std::make_unique<core::JengaSystem>(sim, net, jc, std::move(genesis));
       break;
     }
     default: {
@@ -129,11 +131,11 @@ RunResult run_experiment(const RunConfig& config) {
       bc.merge_span =
           config.merge_span != 0 ? config.merge_span : std::max(2u, config.num_shards / 4);
       if (config.kind == SystemKind::kCxFunc) {
-        baseline = std::make_unique<baselines::CxFuncSystem>(sim, net, bc, genesis);
+        baseline = std::make_unique<baselines::CxFuncSystem>(sim, net, bc, std::move(genesis));
       } else if (config.kind == SystemKind::kSingleShard) {
-        baseline = std::make_unique<baselines::SingleShardSystem>(sim, net, bc, genesis);
+        baseline = std::make_unique<baselines::SingleShardSystem>(sim, net, bc, std::move(genesis));
       } else {
-        baseline = std::make_unique<baselines::PyramidSystem>(sim, net, bc, genesis);
+        baseline = std::make_unique<baselines::PyramidSystem>(sim, net, bc, std::move(genesis));
       }
       break;
     }

@@ -42,10 +42,15 @@ enum class Op : std::uint8_t {
   kAbort,       // abort the whole transaction
 };
 
-struct Instruction {
+/// Packed to the 9 bytes per instruction that ContractLogic::code_size_bytes()
+/// charges, so resident bytecode costs what the logic-storage model says.
+/// Read fields by value: a reference to the unaligned imm is not allowed.
+struct [[gnu::packed]] Instruction {
   Op op{};
   std::uint64_t imm = 0;
 };
+inline constexpr std::uint64_t kInstructionBytes = 9;
+static_assert(sizeof(Instruction) == kInstructionBytes);
 
 /// imm encoding for kCall: (callee_slot << 16) | function_index.  The callee
 /// slot indexes the transaction's declared contract list, so bytecode never
@@ -73,7 +78,7 @@ struct ContractLogic {
   /// Wire/storage footprint of the code: what "logic storage" costs a node.
   [[nodiscard]] std::uint64_t code_size_bytes() const {
     std::uint64_t n = 0;
-    for (const auto& f : functions) n += 16 + f.name.size() + 9 * f.code.size();
+    for (const auto& f : functions) n += 16 + f.name.size() + kInstructionBytes * f.code.size();
     return n;
   }
 };

@@ -57,6 +57,7 @@ std::shared_ptr<const vm::ContractLogic> TraceGenerator::generate_contract(Contr
   logic->id = id;
   const auto num_fns = static_cast<std::uint32_t>(
       rng_.uniform_int(config_.functions_min, config_.functions_max));
+  logic->functions.reserve(num_fns);
   for (std::uint32_t f = 0; f < num_fns; ++f) {
     vm::Function fn;
     fn.name = "fn" + std::to_string(f);
@@ -64,6 +65,9 @@ std::shared_ptr<const vm::ContractLogic> TraceGenerator::generate_contract(Contr
         rng_.uniform_int(config_.function_length_min, config_.function_length_max));
     // Emit repeated read-modify-write stanzas over this contract's own keys;
     // each stanza is 6 instructions, so the body really exercises storage.
+    // Reserving the exact count (stanzas + kReturn) leaves no growth slack:
+    // 100k contracts' bytecode is most of a Fig. 5a run's host memory.
+    fn.code.reserve(6 * ((std::max(len, 1u) - 1) / 6) + 1);
     std::uint32_t emitted = 0;
     while (emitted + 6 < len) {
       const std::uint64_t key = rng_.uniform(16);

@@ -2,6 +2,9 @@
 // cross-contract calls, and the assembler.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "ledger/portable_state.hpp"
@@ -106,6 +109,50 @@ TEST_F(VmTest, LoopComputesSum) {
   const auto r = run_one(logic, view);
   ASSERT_TRUE(r.ok()) << exec_status_name(r.status);
   EXPECT_EQ(view.state().contracts.at(ContractId{2}).at(0), 55u);
+}
+
+TEST_F(VmTest, FullWidthImmediateSurvivesPackedLayout) {
+  // Instruction is packed to 9 bytes, so imm at index 1 sits at byte 10.
+  const auto logic = make_contract(ContractId{1}, {R"(
+    PUSH 3
+    PUSH 18446744073709551615
+    SSTORE        ; state[3] = 2^64 - 1
+    RETURN
+  )"});
+  EXPECT_EQ(logic.functions[0].code[1].imm, std::numeric_limits<std::uint64_t>::max());
+  PortableStateView view(state_with(ContractId{1}, {}));
+  const auto r = run_one(logic, view);
+  ASSERT_TRUE(r.ok()) << exec_status_name(r.status);
+  EXPECT_EQ(view.state().contracts.at(ContractId{1}).at(3),
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST_F(VmTest, JumpTargetsReadAtUnalignedStride) {
+  const auto logic = make_contract(ContractId{1}, {R"(
+    JUMP skip     ; 0
+    ABORT
+  skip:
+    PUSH 1        ; 2: key
+    PUSH 0
+    JZ store      ; 4
+    ABORT
+  store:
+    PUSH 42       ; 6
+    SSTORE
+    RETURN
+  )"});
+  const auto& code = logic.functions[0].code;
+  for (const std::size_t pc : {0u, 4u}) {
+    const auto imm_addr =
+        reinterpret_cast<std::uintptr_t>(code.data() + pc) + offsetof(Instruction, imm);
+    EXPECT_NE(imm_addr % alignof(std::uint64_t), 0u) << "pc " << pc;
+  }
+  EXPECT_EQ(code[0].imm, 2u);
+  EXPECT_EQ(code[4].imm, 6u);
+  PortableStateView view(state_with(ContractId{1}, {}));
+  const auto r = run_one(logic, view);
+  ASSERT_TRUE(r.ok()) << exec_status_name(r.status);
+  EXPECT_EQ(view.state().contracts.at(ContractId{1}).at(1), 42u);
 }
 
 TEST_F(VmTest, DivisionByZeroAborts) {

@@ -28,6 +28,28 @@ TEST(Trace, ContractsGeneratedWithRealCode) {
   }
 }
 
+TEST(Trace, BytecodeHeldWithoutSlack) {
+  // Each function's code is reserved to its exact length: resident bytecode
+  // is then 9 B per instruction, what code_size_bytes() charges.  Short
+  // lengths cover the bodies with no stanza and with a single one.
+  TraceConfig short_fns;
+  short_fns.num_contracts = 50;
+  short_fns.num_accounts = 1000;
+  short_fns.function_length_min = 1;
+  short_fns.function_length_max = 14;
+  auto expect_exact = [](const TraceGenerator& gen) {
+    for (const auto& c : gen.contracts()) {
+      for (const auto& f : c->functions) {
+        ASSERT_FALSE(f.code.empty());
+        EXPECT_EQ(f.code.capacity(), f.code.size());
+        EXPECT_EQ(f.code.back().op, vm::Op::kReturn);
+      }
+    }
+  };
+  expect_exact(make_gen());
+  expect_exact(TraceGenerator(short_fns, Rng(2)));
+}
+
 TEST(Trace, TrendsRampWithHeight) {
   auto gen = make_gen();
   EXPECT_LT(gen.expected_contract_ratio(0), gen.expected_contract_ratio(1'000'000));
