@@ -215,9 +215,19 @@ GrayCellResult run_gray_cell(const std::string& name,
   sim::Network net(sim, sim::NetConfig{}, Rng(cfg.seed));
   core::JengaSystem system(sim, net, cfg, harness::make_genesis(gen));
   security::FaultInjector injector(sim, net, system);
-  security::FailureDetector detector(sim);
-  net.set_arrival_observer(&detector);
-  system.set_failure_detector(&detector);
+  security::FaultPlan plan;
+  for (security::GrayFault g : gray) {
+    g.at = kWindowStart;
+    g.duration = kWindowLen;
+    plan.gray.push_back(g);
+  }
+  // As in the harness runner, only a faulted cell gets a failure detector.
+  std::unique_ptr<security::FailureDetector> detector;
+  if (plan.event_count() > 0) {
+    detector = std::make_unique<security::FailureDetector>(sim);
+    net.set_arrival_observer(detector.get());
+    system.set_failure_detector(detector.get());
+  }
   auto telemetry = std::make_shared<telemetry::Telemetry>();
   telemetry->flight.configure(kShards * 8, 64);
   telemetry->flight.set_dump_path(("flight_gray_" + name).c_str());
@@ -225,15 +235,7 @@ GrayCellResult run_gray_cell(const std::string& name,
   system.set_telemetry(telemetry.get());
   const std::uint64_t initial_balance = system.total_account_balance();
   system.start();
-
-  security::FaultPlan plan;
-  for (security::GrayFault g : gray) {
-    g.at = kWindowStart;
-    g.duration = kWindowLen;
-    plan.gray.push_back(g);
-  }
   injector.arm(plan);
-  if (plan.event_count() > 0) detector.arm(true);
 
   // Burst phase: transfers submitted into the fault window, so 2PC legs die
   // on the degraded paths and the watchdog has rounds to settle.
@@ -265,7 +267,7 @@ GrayCellResult run_gray_cell(const std::string& name,
   r.stuck_flagged = system.twopc_stuck_total();
   r.stuck_at_end = system.twopc_stuck_now();
   r.gray_dropped = net.fault_stats().gray_dropped;
-  r.detector = detector.stats();
+  if (detector) r.detector = detector->stats();
   r.recovery = system.recovery_stats();
   if (r.detector.first_suspicion_at > 0)
     r.detect_s = static_cast<double>(r.detector.first_suspicion_at - kWindowStart) /

@@ -9,8 +9,6 @@
 namespace jenga::baselines {
 namespace {
 
-using core::TwoPcPayload;
-using core::TxPayload;
 using ledger::Transaction;
 using ledger::TxKind;
 
@@ -58,13 +56,12 @@ struct BaselineSystem::App final : consensus::BftApp {
 
 BaselineSystem::BaselineSystem(sim::Simulator& sim, sim::Network& net, BaselineConfig config,
                                Genesis genesis)
-    : sim_(sim), net_(net), config_(config), genesis_(std::move(genesis)) {
-  exec::EngineOptions eo;
-  eo.workers = config_.exec_workers;
-  exec_engine_ = std::make_unique<exec::Engine>(eo);
-
-  for (std::uint32_t s = 0; s < config_.num_shards; ++s)
+    : ShardedSystem(sim, config.exec_workers), net_(net), config_(config),
+      genesis_(std::move(genesis)) {
+  for (std::uint32_t s = 0; s < config_.num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(ShardId{s}));
+    ledgers_.push_back(shards_.back().get());
+  }
 
   for (std::uint64_t a = 0; a < genesis_.num_accounts; ++a) {
     const ShardId s = ledger::shard_of_account(AccountId{a}, config_.num_shards);
@@ -146,19 +143,13 @@ NodeId BaselineSystem::contact(ShardId s) const {
 }
 
 void BaselineSystem::set_telemetry(telemetry::Telemetry* t) {
-  telemetry_ = t;
-  exec_engine_->set_metrics(t == nullptr ? nullptr : &t->registry);
+  ShardedSystem::set_telemetry(t);
   for (auto& r : replicas_)
     if (r) r->set_telemetry(t);
 }
 
 void BaselineSystem::submit(TxPtr tx) {
-  const SimTime now = sim_.now();
-  ++stats_.submitted;
-  if (stats_.first_submit_time == 0 && stats_.submitted == 1) stats_.first_submit_time = now;
-  const auto involved = involved_shards(*tx);
-  tracker_[tx->hash] = TrackEntry{now, static_cast<std::uint32_t>(involved.size()), false};
-  if (telemetry_ != nullptr) telemetry_->tracer.on_submit(tx->hash, now);
+  track_submit(tx, involved_shards(*tx).size());
   ++contact_rr_;
 
   WorkItem item;
@@ -404,6 +395,16 @@ void BaselineSystem::process_transfer(Shard& shard, NodeId decider, const WorkIt
   const ShardId dest = home_of_account(tx.to);
   switch (item.stage) {
     case 0: {
+      // Transfers write balances directly, so they honor the account locks a
+      // contract flow holds while it carries a balance elsewhere (Single
+      // Shard's MoveOut): that flow's commit writes back an absolute balance
+      // and would undo a debit or credit made in between.  A parked item
+      // re-proposes in a later block; enqueue() would dedup it away.
+      if (shard.locks.account_locked(tx.sender) ||
+          (dest == shard.id && shard.locks.account_locked(tx.to))) {
+        shard.queue.push_back(item);
+        break;
+      }
       const auto bal = shard.store.balance(tx.sender);
       if (!bal || *bal < tx.amount) {
         tx_shard_finished(tx.hash, false);
@@ -424,6 +425,10 @@ void BaselineSystem::process_transfer(Shard& shard, NodeId decider, const WorkIt
       break;
     }
     case 1: {
+      if (shard.locks.account_locked(tx.to)) {  // same hazard as the debit
+        shard.queue.push_back(item);
+        break;
+      }
       shard.store.set_balance(tx.to, shard.store.balance(tx.to).value_or(0) + tx.amount);
       ctx.committed.push_back(tx.hash);
       ctx.body_bytes += tx.wire_size();
@@ -455,72 +460,12 @@ bool BaselineSystem::retry_or_abort(Shard& shard, NodeId decider, const WorkItem
   return false;
 }
 
-void BaselineSystem::tx_shard_finished(const Hash256& tx_hash, bool ok) {
-  const auto it = tracker_.find(tx_hash);
-  if (it == tracker_.end()) return;
-  TrackEntry& e = it->second;
-  e.aborted = e.aborted || !ok;
-  if (e.shards_left == 0 || --e.shards_left > 0) return;
-  if (e.aborted) {
-    ++stats_.aborted;
-  } else {
-    ++stats_.committed;
-    stats_.total_commit_latency += sim_.now() - e.submitted;
-    stats_.commit_latencies.push_back(sim_.now() - e.submitted);
-    stats_.last_commit_time = std::max(stats_.last_commit_time, sim_.now());
-  }
-  if (telemetry_ != nullptr) {
-    telemetry_->tracer.on_finish(tx_hash, !e.aborted, sim_.now());
-    telemetry_->registry.counter(e.aborted ? "tx.aborted" : "tx.committed").inc();
-    if (!e.aborted)
-      telemetry_->registry.histogram("tx.commit_latency_us").record(sim_.now() - e.submitted);
-  }
-  tracker_.erase(it);
-}
-
 StorageReport BaselineSystem::storage_report() const {
-  StorageReport r;
-  std::uint64_t chain = 0, state = 0, logic = 0;
-  for (const auto& s : shards_) {
-    chain += s->chain.total_bytes();
-    state += s->store.state_storage_bytes();
-    logic += s->logic.logic_storage_bytes();
-  }
-  r.chain_bytes_per_node = chain / config_.num_shards;
-  r.state_bytes_per_node = state / config_.num_shards;
+  StorageReport r = ShardedSystem::storage_report();
+  std::uint64_t logic = 0;
+  for (const auto& s : shards_) logic += s->logic.logic_storage_bytes();
   r.logic_bytes_per_node = logic / config_.num_shards;
   return r;
-}
-
-const ledger::Chain& BaselineSystem::shard_chain(ShardId s) const {
-  return shards_[s.value]->chain;
-}
-const ledger::StateStore& BaselineSystem::shard_store(ShardId s) const {
-  return shards_[s.value]->store;
-}
-
-std::uint64_t BaselineSystem::total_account_balance() const {
-  std::uint64_t sum = 0;
-  for (const auto& s : shards_) sum += s->store.total_balance();
-  return sum;
-}
-
-std::size_t BaselineSystem::held_locks() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s->locks.held_locks();
-  return n;
-}
-
-Hash256 BaselineSystem::ledger_digest() const {
-  crypto::Sha256 h;
-  h.update("jenga/ledger-digest");
-  for (const auto& s : shards_) {
-    h.update_u64(s->id.value);
-    h.update_u64(s->chain.height());
-    h.update(s->chain.tip_hash());
-    h.update(s->store.digest());
-  }
-  return h.finish();
 }
 
 }  // namespace jenga::baselines

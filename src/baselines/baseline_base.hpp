@@ -4,7 +4,8 @@
 // All baselines share: hash-placed per-shard state, one BFT committee per
 // shard (same consensus engine as Jenga, per the paper's fairness note in
 // §VII-A), a work-item queue agreed upon in blocks, client submission,
-// 2PC transfers, fee charging, and completion tracking.  What differs is the
+// 2PC transfers and fee charging.  Completion tracking and the per-shard
+// ledger come from core::ShardedSystem, shared with Jenga.  What differs is the
 // contract-transaction flow, expressed through `classify_tx` (where a fresh
 // tx starts) and `process_item` (what a decided item does).
 //
@@ -22,13 +23,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "consensus/bft.hpp"
-#include "core/jenga_system.hpp"  // Genesis, TxPtr, protocol payload types
+#include "core/sharded_system.hpp"
 #include "exec/engine.hpp"
-#include "ledger/block.hpp"
-#include "ledger/locks.hpp"
-#include "ledger/state_store.hpp"
 #include "simnet/network.hpp"
 
 namespace jenga::baselines {
@@ -98,7 +95,7 @@ struct PreparedExec {
   std::uint32_t next = 0;  // step cursor after this group (step-group flows)
 };
 
-class BaselineSystem {
+class BaselineSystem : public core::ShardedSystem {
  public:
   BaselineSystem(sim::Simulator& sim, sim::Network& net, BaselineConfig config,
                  Genesis genesis);
@@ -110,32 +107,17 @@ class BaselineSystem {
   void start();
   void submit(TxPtr tx);
 
-  /// Attaches a telemetry context (nullptr detaches): per-tx phase tracing
-  /// plus BFT sub-spans in every replica.  Call before start().  The baseline
-  /// flows map onto the same phase partition as Jenga (work-item kinds are
-  /// classified in decide()), so breakdown benches compare like with like.
-  void set_telemetry(telemetry::Telemetry* t);
+  /// The baseline flows map onto the same phase partition as Jenga
+  /// (work-item kinds are classified in decide()), so breakdown benches
+  /// compare like with like.
+  void set_telemetry(telemetry::Telemetry* t) override;
 
-  [[nodiscard]] const TxStats& stats() const { return stats_; }
-  /// Transactions submitted but neither committed nor aborted yet (the
-  /// open-loop dispatcher's credit window reads this).
-  [[nodiscard]] std::size_t in_flight() const { return tracker_.size(); }
   [[nodiscard]] const BaselineConfig& config() const { return config_; }
-  [[nodiscard]] virtual StorageReport storage_report() const;
-  [[nodiscard]] const ledger::Chain& shard_chain(ShardId s) const;
-  [[nodiscard]] const ledger::StateStore& shard_store(ShardId s) const;
-  [[nodiscard]] std::uint64_t total_account_balance() const;
-  [[nodiscard]] std::size_t held_locks() const;
-  /// Canonical digest over every shard's chain tip and state store — the
-  /// ledger root the determinism tests compare across exec worker counts.
-  [[nodiscard]] Hash256 ledger_digest() const;
+  /// Adds each shard's logic share.
+  [[nodiscard]] StorageReport storage_report() const override;
 
  protected:
-  struct Shard {
-    ShardId id;
-    ledger::StateStore store;
-    ledger::LockManager locks;
-    ledger::Chain chain;
+  struct Shard : core::ShardLedger {
     ledger::LogicStore logic;  // this shard's logic share
     std::deque<WorkItem> queue;
     std::unordered_set<Hash256> seen;  // client + cross-shard item dedup
@@ -143,7 +125,7 @@ class BaselineSystem {
     std::unordered_map<Hash256, ledger::PortableState> buffered;
     std::uint64_t next_process_height = 0;
 
-    explicit Shard(ShardId s) : id(s), chain(s) {}
+    explicit Shard(ShardId s) : ShardLedger(s) {}
   };
 
   /// Mutable context for one decided block (chain append accumulator).
@@ -193,29 +175,16 @@ class BaselineSystem {
   /// otherwise fans out an abort.  Returns true if a retry was scheduled.
   bool retry_or_abort(Shard& shard, NodeId decider, const WorkItem& item);
 
-  void tx_shard_finished(const Hash256& tx_hash, bool ok);
   /// Broadcasts kCommit items to every involved shard (cross for others,
   /// local enqueue for this one).
   void broadcast_commit(Shard& from_shard, NodeId decider, const TxPtr& tx, bool ok);
 
-  sim::Simulator& sim_;
   sim::Network& net_;
   BaselineConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Held only until place_contracts() moves its states into the shards.
   Genesis genesis_;
-  /// Batch execution engine shared by every shard's decide path.
-  std::unique_ptr<exec::Engine> exec_engine_;
-
-  struct TrackEntry {
-    SimTime submitted = 0;
-    std::uint32_t shards_left = 0;
-    bool aborted = false;
-  };
-  std::unordered_map<Hash256, TrackEntry> tracker_;
-  TxStats stats_;
   std::uint64_t contact_rr_ = 0;
-  telemetry::Telemetry* telemetry_ = nullptr;
 
  private:
   struct App;

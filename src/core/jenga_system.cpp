@@ -22,6 +22,11 @@ using ledger::TxKind;
 
 constexpr std::uint64_t kShardGroupTag = 0x5AAD0000ULL;
 constexpr std::uint64_t kChannelGroupTag = 0xC4A70000ULL;
+/// VDF difficulty of the epoch beacon's finalize.  Small, so reconfiguration
+/// tests stay fast; the paper's deployment would use hours' worth of
+/// sequential squarings.
+constexpr std::uint64_t kEpochVdfIterations = 256;
+constexpr std::size_t kEpochVdfCheckpoints = 8;
 
 /// One committed (or aborted) transaction within a shard block.
 struct CommitItem {
@@ -238,11 +243,7 @@ struct GatherUnit {
   }
 };
 
-struct JengaSystem::ShardEngine {
-  ShardId id;
-  ledger::StateStore store;
-  ledger::LockManager locks;
-  ledger::Chain chain;
+struct JengaSystem::ShardEngine : ShardLedger {
   ledger::LogicStore local_logic;  // kNoGlobalLogic: only home contracts
 
   std::deque<DetermineItem> determine;
@@ -281,7 +282,7 @@ struct JengaSystem::ShardEngine {
   };
   std::unordered_map<std::uint64_t, Outcome> outcomes;
 
-  explicit ShardEngine(ShardId s) : id(s), chain(s) {}
+  explicit ShardEngine(ShardId s) : ShardLedger(s) {}
 };
 
 struct JengaSystem::ChannelEngine {
@@ -329,11 +330,7 @@ struct JengaSystem::ChannelApp final : consensus::BftApp {
 
 JengaSystem::JengaSystem(sim::Simulator& sim, sim::Network& net, JengaConfig config,
                          Genesis genesis)
-    : sim_(sim), net_(net), config_(config) {
-  exec::EngineOptions eo;
-  eo.workers = config_.exec_workers;
-  exec_engine_ = std::make_unique<exec::Engine>(eo);
-
+    : ShardedSystem(sim, config.exec_workers), net_(net), config_(config) {
   const Hash256 epoch_randomness = crypto::sha256("jenga/epoch-0");
   lattice_ = std::make_unique<Lattice>(
       make_epoch_lattice(config_.num_shards, config_.nodes_per_shard, config_.seed,
@@ -344,6 +341,7 @@ JengaSystem::JengaSystem(sim::Simulator& sim, sim::Network& net, JengaConfig con
   // Per-shard state: accounts and contract states placed by hash.
   for (std::uint32_t s = 0; s < config_.num_shards; ++s) {
     shards_.push_back(std::make_unique<ShardEngine>(ShardId{s}));
+    ledgers_.push_back(shards_.back().get());
     channels_.push_back(std::make_unique<ChannelEngine>(ChannelId{s}));
   }
   if (config_.storage_backend != StorageBackendKind::kNone) {
@@ -399,9 +397,8 @@ JengaSystem::JengaSystem(sim::Simulator& sim, sim::Network& net, JengaConfig con
           crypto::keypair_from_seed(config_.seed * 0x9E3779B97F4A7C15ULL + 0xBEAC0ULL + i));
       committee.push_back(beacon_keys_.back().public_key);
     }
-    epoch_mgr_ = std::make_unique<EpochManager>(std::move(committee),
-                                                config_.epoch_vdf_iterations,
-                                                config_.epoch_vdf_checkpoints);
+    epoch_mgr_ = std::make_unique<EpochManager>(std::move(committee), kEpochVdfIterations,
+                                                kEpochVdfCheckpoints);
   }
 
   // Dissemination subsystem (DESIGN.md §12).  The mesh gets its OWN rng
@@ -433,7 +430,6 @@ std::uint64_t JengaSystem::channel_tag(ChannelId c) const {
 }
 
 std::size_t JengaSystem::min_contributions() const {
-  if (config_.epoch_min_contributions != 0) return config_.epoch_min_contributions;
   return 2 * static_cast<std::size_t>(lattice_->total_nodes()) / 3 + 1;
 }
 
@@ -493,15 +489,18 @@ void JengaSystem::build_replicas() {
       if (channel_replicas_[i]) channel_replicas_[i]->set_telemetry(telemetry_);
     }
     // Reshuffles rebuild replicas; the adaptive-timeout hook follows them.
-    if (detector_ != nullptr) {
-      consensus::Replica::ViewTimeoutHook hook =
-          [d = detector_](NodeId self, NodeId leader, SimTime base) {
-            return d->view_timeout(self, leader, base);
-          };
-      shard_replicas_[i]->set_view_timeout_hook(hook);
-      if (channel_replicas_[i]) channel_replicas_[i]->set_view_timeout_hook(std::move(hook));
-    }
+    wire_view_timeout(i);
   }
+}
+
+void JengaSystem::wire_view_timeout(std::uint32_t node) {
+  consensus::Replica::ViewTimeoutHook hook;
+  if (detector_ != nullptr)
+    hook = [d = detector_](NodeId self, NodeId leader, SimTime base) {
+      return d->view_timeout(self, leader, base);
+    };
+  shard_replicas_[node]->set_view_timeout_hook(hook);
+  if (channel_replicas_[node]) channel_replicas_[node]->set_view_timeout_hook(std::move(hook));
 }
 
 JengaSystem::~JengaSystem() {
@@ -627,20 +626,11 @@ void JengaSystem::set_failure_detector(security::FailureDetector* detector) {
           [detector](std::uint32_t base) { return detector->pull_cadence(base); });
     }
   }
-  for (std::size_t i = 0; i < shard_replicas_.size(); ++i) {
-    consensus::Replica::ViewTimeoutHook hook;
-    if (detector != nullptr)
-      hook = [detector](NodeId self, NodeId leader, SimTime base) {
-        return detector->view_timeout(self, leader, base);
-      };
-    shard_replicas_[i]->set_view_timeout_hook(hook);
-    if (channel_replicas_[i]) channel_replicas_[i]->set_view_timeout_hook(hook);
-  }
+  for (std::uint32_t i = 0; i < shard_replicas_.size(); ++i) wire_view_timeout(i);
 }
 
 void JengaSystem::set_telemetry(telemetry::Telemetry* t) {
-  telemetry_ = t;
-  exec_engine_->set_metrics(t == nullptr ? nullptr : &t->registry);
+  ShardedSystem::set_telemetry(t);
   for (auto& r : shard_replicas_) r->set_telemetry(t);
   for (auto& r : channel_replicas_)
     if (r) r->set_telemetry(t);
@@ -723,15 +713,8 @@ NodeId JengaSystem::channel_contact(ChannelId c) const {
 // ---------------------------------------------------------------------------
 
 void JengaSystem::submit(TxPtr tx) {
-  const SimTime now = sim_.now();
-  ++stats_.submitted;
-  if (stats_.first_submit_time == 0 && stats_.submitted == 1)
-    stats_.first_submit_time = now;
-
   const auto involved = involved_shards(*tx);
-  tracker_[tx->hash] = TrackEntry{now, static_cast<std::uint32_t>(involved.size()), false};
-  tx_for_result_[tx->hash] = tx;
-  if (telemetry_ != nullptr) telemetry_->tracer.on_submit(tx->hash, now);
+  track_submit(tx, involved.size());
 
   ++contact_rr_;
   auto payload = std::make_shared<TxPayload>();
@@ -1032,9 +1015,8 @@ void JengaSystem::handle_result_batch(NodeId node, const sim::Message& msg) {
     for (const auto& [s, st] : r.per_shard_updates) {
       if (s == eng.id) item.updates = st;  // this shard's slice only
     }
-    const auto tx_it = tx_for_result_.find(r.tx_hash);
-    if (tx_it == tx_for_result_.end()) continue;  // already fully finished
-    item.tx = tx_it->second;
+    item.tx = tracked_tx(r.tx_hash);
+    if (!item.tx) continue;  // already fully finished
     eng.commits.push_back(std::move(item));
   }
 }
@@ -1054,7 +1036,7 @@ Hash256 JengaSystem::twopc_key(const char* tag, const Hash256& h, std::uint32_t 
 
 void JengaSystem::send_two_pc(NodeId from, ShardId dest, const sim::Message& msg) {
   const NodeId primary = shard_contact(dest);
-  if (detector_ != nullptr && detector_->armed() && detector_->suspect(from, primary)) {
+  if (detector_ != nullptr && detector_->suspect(from, primary)) {
     const auto& members = lattice_->shard_members(dest);
     if (members.size() > 1) {
       // Hedge: duplicate the leg to the deterministically-next member of the
@@ -1764,8 +1746,8 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
       ExecResult r;
       r.tx_hash = h;
       r.ok = false;
-      if (const auto tit = tx_for_result_.find(h); tit != tx_for_result_.end()) {
-        add_result(*tit->second, r);
+      if (const TxPtr tracked = tracked_tx(h)) {
+        add_result(*tracked, r);
       } else {
         for (const std::uint32_t s : sources) add_result_to(ShardId{s}, r);
       }
@@ -1878,9 +1860,8 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
         ExecResult abort_r;
         abort_r.tx_hash = result.tx_hash;
         abort_r.ok = false;
-        if (const auto tit = tx_for_result_.find(result.tx_hash);
-            tit != tx_for_result_.end()) {
-          add_result(*tit->second, abort_r);  // every involved shard settles
+        if (const TxPtr tracked = tracked_tx(result.tx_hash)) {
+          add_result(*tracked, abort_r);  // every involved shard settles
         } else {
           for (const std::uint32_t s : sources) add_result_to(ShardId{s}, abort_r);
         }
@@ -2027,10 +2008,9 @@ void JengaSystem::channel_decide(ChannelEngine& eng, NodeId node, std::uint64_t 
         ExecResult abort_r;
         abort_r.tx_hash = result.tx_hash;
         abort_r.ok = false;
-        if (const auto tit = tx_for_result_.find(result.tx_hash);
-            tit != tx_for_result_.end()) {
+        if (const TxPtr tracked = tracked_tx(result.tx_hash)) {
           // Every involved shard settles, not just the ones that granted.
-          for (ShardId target : involved_shards(*tit->second)) add_to(target, abort_r);
+          for (ShardId target : involved_shards(*tracked)) add_to(target, abort_r);
         } else {
           for (const std::uint32_t s : sources) add_to(ShardId{s}, abort_r);
         }
@@ -2274,10 +2254,8 @@ void JengaSystem::perform_cutover(std::uint64_t target_epoch) {
 
   // 8. Carry the mempool/tracker across: re-ingest every force-aborted tx
   //    with its original submit timestamp and submission count intact.
-  for (const auto& h : requeue) {
-    const auto it = tx_for_result_.find(h);
-    if (it != tx_for_result_.end()) reingest(it->second);
-  }
+  for (const auto& h : requeue)
+    if (const TxPtr tracked = tracked_tx(h)) reingest(tracked);
   epoch_stats_.txs_requeued += requeue.size();
   ++epoch_stats_.transitions;
   if (telemetry_ != nullptr) {
@@ -2326,44 +2304,11 @@ void JengaSystem::reingest(const TxPtr& tx) {
 }
 
 // ---------------------------------------------------------------------------
-// Completion tracking & reports
+// Reports
 // ---------------------------------------------------------------------------
 
-void JengaSystem::tx_shard_finished(const Hash256& tx_hash, bool ok) {
-  const auto it = tracker_.find(tx_hash);
-  if (it == tracker_.end()) return;
-  TrackEntry& e = it->second;
-  e.aborted = e.aborted || !ok;
-  if (e.shards_left == 0 || --e.shards_left > 0) return;
-  if (e.aborted) {
-    ++stats_.aborted;
-  } else {
-    ++stats_.committed;
-    stats_.total_commit_latency += sim_.now() - e.submitted;
-    stats_.commit_latencies.push_back(sim_.now() - e.submitted);
-    stats_.last_commit_time = std::max(stats_.last_commit_time, sim_.now());
-  }
-  if (telemetry_ != nullptr) {
-    telemetry_->tracer.on_finish(tx_hash, !e.aborted, sim_.now());
-    telemetry_->registry.counter(e.aborted ? "tx.aborted" : "tx.committed").inc();
-    if (!e.aborted)
-      telemetry_->registry.histogram("tx.commit_latency_us").record(sim_.now() - e.submitted);
-  }
-  tracker_.erase(it);
-  tx_for_result_.erase(tx_hash);
-}
-
 StorageReport JengaSystem::storage_report() const {
-  StorageReport r;
-  std::uint64_t chain = 0, state = 0;
-  for (const auto& s : shards_) {
-    chain += s->chain.total_bytes();
-    state += s->store.state_storage_bytes();
-  }
-  r.chain_bytes_per_node = chain / config_.num_shards;
-  r.state_bytes_per_node = state / config_.num_shards;
-  // Network-wide logic storage: every node stores all logic (kFull and
-  // kNoLattice); kNoGlobalLogic stores only the home shard's share.
+  StorageReport r = ShardedSystem::storage_report();
   if (config_.pipeline == Pipeline::kNoGlobalLogic) {
     std::uint64_t local = 0;
     for (const auto& s : shards_) local += s->local_logic.logic_storage_bytes();
@@ -2372,23 +2317,6 @@ StorageReport JengaSystem::storage_report() const {
     r.logic_bytes_per_node = all_logic_.logic_storage_bytes();
   }
   return r;
-}
-
-const ledger::Chain& JengaSystem::shard_chain(ShardId s) const { return shards_[s.value]->chain; }
-const ledger::StateStore& JengaSystem::shard_store(ShardId s) const {
-  return shards_[s.value]->store;
-}
-
-std::uint64_t JengaSystem::total_account_balance() const {
-  std::uint64_t sum = 0;
-  for (const auto& s : shards_) sum += s->store.total_balance();
-  return sum;
-}
-
-std::size_t JengaSystem::held_locks() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s->locks.held_locks();
-  return n;
 }
 
 std::size_t JengaSystem::twopc_stuck_now() const {
@@ -2443,18 +2371,6 @@ void JengaSystem::twopc_watchdog_scan() {
     send_two_pc(e.coordinator,
                 ledger::shard_of_account(e.tx->to, config_.num_shards), m);
   }
-}
-
-Hash256 JengaSystem::ledger_digest() const {
-  crypto::Sha256 h;
-  h.update("jenga/ledger-digest");
-  for (const auto& s : shards_) {
-    h.update_u64(s->id.value);
-    h.update_u64(s->chain.height());
-    h.update(s->chain.tip_hash());
-    h.update(s->store.digest());
-  }
-  return h.finish();
 }
 
 Hash256 JengaSystem::state_digest() const {

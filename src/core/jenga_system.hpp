@@ -44,15 +44,9 @@
 #include "core/lattice.hpp"
 #include "core/protocol_messages.hpp"
 #include "core/recovery.hpp"
-#include "ledger/block.hpp"
-#include "ledger/locks.hpp"
-#include "ledger/state_store.hpp"
+#include "core/sharded_system.hpp"
 #include "ledger/storage_env.hpp"
 #include "simnet/network.hpp"
-
-namespace jenga::exec {
-class Engine;
-}
 
 namespace jenga::security {
 class FailureDetector;
@@ -117,12 +111,6 @@ struct JengaConfig {
   /// How long before the cutover the beacon round starts (VRF contributions
   /// gossiped as real messages; the quorum must land within this lead).
   SimTime epoch_beacon_lead = 20 * kSecond;
-  /// Contributions required to finalize the beacon; 0 = 2N/3 + 1.
-  std::size_t epoch_min_contributions = 0;
-  /// VDF difficulty for the beacon finalize (small values keep tests fast;
-  /// the paper's deployment would use hours' worth of sequential squarings).
-  std::uint64_t epoch_vdf_iterations = 256;
-  std::size_t epoch_vdf_checkpoints = 8;
 
   // --- Durable authenticated state (DESIGN.md §9) --------------------------
   StorageBackendKind storage_backend = StorageBackendKind::kNone;
@@ -180,18 +168,7 @@ struct EpochStats {
   std::uint64_t boundary_balance_mismatches = 0;  // conservation broken at a boundary
 };
 
-/// Initial accounts, contract logic and contract states.  Systems take it by
-/// value and move each initial state into its home shard's store, so a caller
-/// that moves its Genesis in keeps no copy past construction.  Logic is shared
-/// (shared_ptr), never copied.
-struct Genesis {
-  std::uint64_t num_accounts = 0;
-  std::uint64_t initial_balance = 0;
-  std::vector<std::shared_ptr<const vm::ContractLogic>> contracts;
-  std::vector<ledger::ContractState> initial_states;  // parallel to contracts
-};
-
-class JengaSystem {
+class JengaSystem final : public ShardedSystem {
  public:
   JengaSystem(sim::Simulator& sim, sim::Network& net, JengaConfig config, Genesis genesis);
   ~JengaSystem();
@@ -205,20 +182,13 @@ class JengaSystem {
   /// Client submits a transaction at the current simulation time.
   void submit(TxPtr tx);
 
-  [[nodiscard]] const TxStats& stats() const { return stats_; }
   [[nodiscard]] const Lattice& lattice() const { return *lattice_; }
   [[nodiscard]] const JengaConfig& config() const { return config_; }
 
-  /// Average per-node storage at the current moment (Fig. 7a's metric).
-  [[nodiscard]] StorageReport storage_report() const;
+  /// Adds the logic storage: every contract's logic on every node (kFull and
+  /// kNoLattice), or only the home shard's share (kNoGlobalLogic).
+  [[nodiscard]] StorageReport storage_report() const override;
 
-  /// Introspection for tests.
-  [[nodiscard]] const ledger::Chain& shard_chain(ShardId s) const;
-  [[nodiscard]] const ledger::StateStore& shard_store(ShardId s) const;
-  [[nodiscard]] std::uint64_t total_account_balance() const;
-  [[nodiscard]] std::size_t held_locks() const;
-  /// Transactions submitted but neither committed nor aborted yet.
-  [[nodiscard]] std::size_t in_flight() const { return tracker_.size(); }
   /// 2PC rounds with an applied debit awaiting finalization right now.
   [[nodiscard]] std::size_t twopc_inflight() const { return twopc_inflight_.size(); }
   /// Inflight 2PC entries currently older than `twopc_stuck_timeout`
@@ -245,10 +215,6 @@ class JengaSystem {
     boundary_hook_ = std::move(hook);
   }
 
-  /// Canonical digest over every shard's chain tip and state store — the
-  /// ledger root the determinism tests compare across exec worker counts.
-  [[nodiscard]] Hash256 ledger_digest() const;
-
   /// Order-independent digest over every shard's final state store plus the
   /// committed/aborted totals.  Unlike ledger_digest() this excludes chain
   /// tips (whose block boundaries depend on message timing), so it is
@@ -267,9 +233,9 @@ class JengaSystem {
   /// Attaches the phi-accrual failure detector (nullptr detaches).  Wires
   /// its suspicion signal into this layer's repair machinery: adaptive BFT
   /// view timeouts on every replica, hotter rumor pull-repair cadence while
-  /// degraded, and hedged 2PC legs toward suspected contacts.  The detector
-  /// itself is passive until armed (see security/detector.hpp); attaching it
-  /// to a clean run changes nothing.
+  /// degraded, and hedged 2PC legs toward suspected contacts.  An attached
+  /// detector acts, so the harness attaches one only to runs with a fault
+  /// plan (see security/detector.hpp).
   void set_failure_detector(security::FailureDetector* detector);
   [[nodiscard]] security::FailureDetector* failure_detector() const { return detector_; }
   /// Recovery-ladder activity (probes, force-aborts, refunds, hedges, ...).
@@ -303,10 +269,7 @@ class JengaSystem {
     return s.value < storage_envs_.size() ? storage_envs_[s.value].get() : nullptr;
   }
 
-  /// Attaches a telemetry context (nullptr detaches): per-tx phase tracing in
-  /// this layer, BFT sub-spans in every replica.  Call before start().
-  /// Recording is passive — an instrumented run is bit-identical to a bare one.
-  void set_telemetry(telemetry::Telemetry* t);
+  void set_telemetry(telemetry::Telemetry* t) override;
 
   /// Replica introspection for fault injection and tests.
   [[nodiscard]] const consensus::Replica& shard_replica(NodeId node) const {
@@ -338,6 +301,9 @@ class JengaSystem {
   /// lattice and epoch (shared per-group configs, epoch-salted tags/seeds),
   /// reapplying Byzantine roles and telemetry.  Does not start them.
   void build_replicas();
+  /// Points both of `node`'s replicas at the detector's adaptive view
+  /// timeout (or clears the hook when no detector is attached).
+  void wire_view_timeout(std::uint32_t node);
   /// Schedules the next beacon round, drain start, and cutover attempt,
   /// `epoch_interval` from now.
   void schedule_epoch_cycle();
@@ -353,7 +319,7 @@ class JengaSystem {
   /// timer until they hold, then performs the cutover.
   void try_cutover(std::uint64_t target_epoch);
   void perform_cutover(std::uint64_t target_epoch);
-  /// Beacon quorum size: config override, or 2N/3 + 1.
+  /// Beacon quorum size: 2N/3 + 1.
   [[nodiscard]] std::size_t min_contributions() const;
   /// Answers a grant that arrived after its transaction's gather entry already
   /// expired (the grants-then-no-tx case): sends a single abort result back to
@@ -400,7 +366,6 @@ class JengaSystem {
   /// Cached vote-key ids of a group under the CURRENT epoch's key schedule.
   [[nodiscard]] const std::vector<std::uint64_t>& source_public_ids(bool channel_group,
                                                                     std::uint32_t gid);
-  void tx_shard_finished(const Hash256& tx_hash, bool ok);
   void note_decide(std::uint64_t group_tag, std::uint64_t height, const Hash256& digest);
   /// Forwarding-duty dissemination of a certified outcome (grants into a
   /// channel, results into a shard) or a beacon contribution.  Routed per the
@@ -453,7 +418,6 @@ class JengaSystem {
   [[nodiscard]] std::vector<std::pair<ShardId, ledger::PortableState>> split_per_shard(
       ledger::PortableState updated) const;
 
-  sim::Simulator& sim_;
   sim::Network& net_;
   JengaConfig config_;
   std::unique_ptr<Lattice> lattice_;
@@ -497,21 +461,6 @@ class JengaSystem {
 
   // All contract logic (network-wide in kFull/kNoLattice).
   ledger::LogicStore all_logic_;
-
-  // Batch execution engine shared by every execution site (Phase 2).
-  std::unique_ptr<exec::Engine> exec_engine_;
-
-  // Per-tx completion tracking.
-  struct TrackEntry {
-    SimTime submitted = 0;
-    std::uint32_t shards_left = 0;
-    bool aborted = false;
-  };
-  std::unordered_map<Hash256, TrackEntry> tracker_;
-  /// Transactions by hash, so result batches can be matched back to their tx
-  /// without shipping the tx in every message.
-  std::unordered_map<Hash256, TxPtr> tx_for_result_;
-  TxStats stats_;
 
   // First digest decided per (group tag, height), for divergence detection
   // across the replicas of each group.
@@ -565,8 +514,6 @@ class JengaSystem {
   std::vector<std::unique_ptr<ShardApp>> retired_shard_apps_;
   std::vector<std::unique_ptr<ChannelApp>> retired_channel_apps_;
   std::function<void(std::uint64_t)> boundary_hook_;
-
-  telemetry::Telemetry* telemetry_ = nullptr;
 };
 
 }  // namespace jenga::core

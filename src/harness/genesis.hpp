@@ -1,7 +1,7 @@
 // Builds a core::Genesis from a workload trace generator.
 #pragma once
 
-#include "core/jenga_system.hpp"
+#include "core/sharded_system.hpp"
 #include "workload/trace.hpp"
 
 namespace jenga::harness {

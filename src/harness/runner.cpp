@@ -58,6 +58,10 @@ std::size_t bench_txs_from_env(std::size_t fallback) {
 
 namespace {
 
+/// Chain height the generated contract txs assume: a mature workload, past
+/// the Fig. 3 trends' ramp-up.
+constexpr std::uint64_t kTraceHeight = 1'000'000;
+
 std::uint32_t resolve_nodes_per_shard(const RunConfig& cfg) {
   if (cfg.nodes_per_shard != 0) return cfg.nodes_per_shard;
   auto k = static_cast<std::uint32_t>(paper_nodes_per_shard(cfg.num_shards) * cfg.scale);
@@ -79,10 +83,7 @@ RunResult run_experiment(const RunConfig& config) {
 
   // Always-on telemetry: passive recording, bit-identical runs.
   auto telemetry = std::make_shared<telemetry::Telemetry>();
-  if (config.causal_trace) {
-    telemetry->causal.set_capacity(config.causal_span_capacity);
-    telemetry->causal.enable(true);
-  }
+  if (config.causal_trace) telemetry->causal.enable(true);
   if (config.flight_events_per_node > 0) {
     telemetry->flight.configure(k * config.num_shards, config.flight_events_per_node);
     if (!config.flight_dump_path.empty())
@@ -90,7 +91,9 @@ RunResult run_experiment(const RunConfig& config) {
   }
   net.set_telemetry(telemetry.get());
 
-  // The system under test, behind a uniform submit/metric facade.
+  // The system under test.  Its concrete type is used to build, start and
+  // submit to it (and for Jenga-only reports); everything else reads it
+  // through `system`.
   std::unique_ptr<core::JengaSystem> jenga;
   std::unique_ptr<baselines::BaselineSystem> baseline;
   switch (config.kind) {
@@ -106,13 +109,9 @@ RunResult run_experiment(const RunConfig& config) {
       jc.epoch_interval = config.epoch_interval;
       jc.epoch_drain_window = config.epoch_drain_window;
       jc.epoch_beacon_lead = config.epoch_beacon_lead;
-      jc.epoch_min_contributions = config.epoch_min_contributions;
-      jc.epoch_vdf_iterations = config.epoch_vdf_iterations;
-      jc.epoch_vdf_checkpoints = config.epoch_vdf_checkpoints;
       jc.storage_backend = config.storage_backend;
       jc.storage_snapshot_interval = config.storage_snapshot_interval;
       jc.model_state_sync = config.model_state_sync;
-      jc.recovery = config.recovery;
       jc.pipeline = config.kind == SystemKind::kJenga ? core::Pipeline::kFull
                     : config.kind == SystemKind::kJengaNoLattice
                         ? core::Pipeline::kNoLattice
@@ -140,6 +139,8 @@ RunResult run_experiment(const RunConfig& config) {
       break;
     }
   }
+  core::ShardedSystem& system =
+      jenga ? static_cast<core::ShardedSystem&>(*jenga) : *baseline;
   auto submit = [&](core::TxPtr tx) {
     if (jenga) {
       jenga->submit(std::move(tx));
@@ -147,26 +148,22 @@ RunResult run_experiment(const RunConfig& config) {
       baseline->submit(std::move(tx));
     }
   };
-  auto stats = [&]() -> const TxStats& { return jenga ? jenga->stats() : baseline->stats(); };
-  const std::uint64_t initial_balance =
-      jenga ? jenga->total_account_balance() : baseline->total_account_balance();
+  const std::uint64_t initial_balance = system.total_account_balance();
+  system.set_telemetry(telemetry.get());
 
-  // Failure detection (DESIGN.md §14) is attached only where it can act: a
-  // Jenga run with a fault plan.  Anywhere else an unarmed detector would
-  // sample every delivery (about a fifth of a clean fig5a S=12 run's host
-  // time) while its hooks returned their base values.
+  // Failure detection (DESIGN.md §14) is attached only where it has
+  // something to react to: a Jenga run with a fault plan.  Anywhere else it
+  // would sample every delivery (about a fifth of a clean fig5a S=12 run's
+  // host time) and could only perturb the run.
   std::unique_ptr<security::FailureDetector> detector;
+  if (jenga && config.faults_plan.event_count() > 0) {
+    detector = std::make_unique<security::FailureDetector>(sim);
+    net.set_arrival_observer(detector.get());
+    jenga->set_failure_detector(detector.get());
+  }
   if (jenga) {
-    jenga->set_telemetry(telemetry.get());
-    if (config.self_healing && config.faults_plan.event_count() > 0) {
-      detector = std::make_unique<security::FailureDetector>(sim, config.detector);
-      detector->arm(true);
-      net.set_arrival_observer(detector.get());
-      jenga->set_failure_detector(detector.get());
-    }
     jenga->start();
   } else {
-    baseline->set_telemetry(telemetry.get());
     baseline->start();
   }
 
@@ -185,7 +182,7 @@ RunResult run_experiment(const RunConfig& config) {
       --*contracts_left;
     }
     return pick_transfer ? gen.transfer_tx(sim.now())
-                         : gen.contract_tx(config.trace_height, sim.now());
+                         : gen.contract_tx(kTraceHeight, sim.now());
   };
   auto submit_one = [&, make_one] {
     submit(std::make_shared<ledger::Transaction>(make_one()));
@@ -202,8 +199,6 @@ RunResult run_experiment(const RunConfig& config) {
     mempool::IngressConfig ic;
     ic.num_shards = config.num_shards;
     ic.pool = config.mempool;
-    ic.soft_watermark = config.mempool_soft_watermark;
-    ic.hard_watermark = config.mempool_hard_watermark;
     ingress = std::make_unique<mempool::IngressSet>(ic);
     ingress->set_telemetry(&telemetry->registry);
     ingress->set_causal(&telemetry->causal);
@@ -211,13 +206,11 @@ RunResult run_experiment(const RunConfig& config) {
     workload::ClientConfig cc;
     cc.arrival = config.arrival;
     cc.retry = config.retry;
-    cc.fee_tiers = config.fee_tiers;
     cc.total_txs = total;
     cc.max_inflight = config.max_inflight;
-    cc.pump_interval = config.pump_interval;
     client = std::make_unique<workload::OpenLoopClient>(
         sim, *ingress, cc, Rng(config.seed ^ 0xC11E47), make_one, submit,
-        [&]() -> std::size_t { return jenga ? jenga->in_flight() : baseline->in_flight(); });
+        [&system]() -> std::size_t { return system.in_flight(); });
     client->set_telemetry(&telemetry->registry);
     client->start();
   }
@@ -236,19 +229,20 @@ RunResult run_experiment(const RunConfig& config) {
   if (open_loop) {
     // Arrivals already scheduled by the client.
   } else if (config.closed_loop_window > 0) {
-    // Closed loop: a pacer keeps `window` transactions outstanding.
+    // Closed loop: a pacer keeps `window` transactions outstanding.  Only
+    // its queued tick owns it, so a run that stops with a tick still queued
+    // frees it along with the simulator.
     auto pacer = std::make_shared<std::function<void()>>();
-    *pacer = [&, pacer, submit_one, total] {
-      const auto& s = stats();
+    *pacer = [&, self = std::weak_ptr(pacer), submit_one, total] {
+      const auto& s = system.stats();
       const std::size_t completed = s.committed + s.aborted;
       const std::size_t outstanding = s.submitted - completed;
       std::size_t can = config.closed_loop_window > outstanding
                             ? config.closed_loop_window - outstanding
                             : 0;
       while (can-- > 0 && s.submitted < total) submit_one();
-      if (stats().submitted < total ||
-          stats().committed + stats().aborted < total)
-        sim.schedule_after(200 * kMillisecond, [pacer] { (*pacer)(); });
+      if (s.submitted < total || s.committed + s.aborted < total)
+        sim.schedule_after(200 * kMillisecond, [p = self.lock()] { (*p)(); });
     };
     sim.schedule_at(0, [pacer] { (*pacer)(); });
   } else {
@@ -268,7 +262,7 @@ RunResult run_experiment(const RunConfig& config) {
   while (now < config.max_sim_time) {
     now += slice;
     sim.run_until(now);
-    const auto& s = stats();
+    const auto& s = system.stats();
     if (open_loop) {
       // Open loop: every generated tx must reach a terminal state — committed
       // or aborted inside the system, or terminally rejected/expired at the
@@ -280,7 +274,7 @@ RunResult run_experiment(const RunConfig& config) {
   }
 
   RunResult result;
-  result.stats = stats();
+  result.stats = system.stats();
   if (open_loop) {
     const workload::ClientStats& cs = client->stats();
     result.stats.rejected = cs.rejected_terminal;
@@ -289,18 +283,17 @@ RunResult run_experiment(const RunConfig& config) {
     result.ingress.pools = ingress->stats();
     result.ingress.client = cs;
     result.ingress.admission_digest = ingress->admission_digest();
-    if (jenga) {
-      result.ingress.invariants_audited = true;
-      result.ingress.invariants =
-          security::check_invariants(*jenga, initial_balance, ingress.get());
-      // A failed audit fires the flight recorder: the last-N-events window
-      // plus lineage becomes the post-mortem artifact for this run.
-      if (!result.ingress.invariants.ok()) telemetry->flight.trigger("invariant.violation");
-    }
+    result.ingress.invariants_audited = true;
+    result.ingress.invariants =
+        jenga ? security::check_invariants(*jenga, initial_balance, ingress.get())
+              : security::check_invariants(system, initial_balance, ingress.get());
+    // A failed audit fires the flight recorder: the last-N-events window
+    // plus lineage becomes the post-mortem artifact for this run.
+    if (!result.ingress.invariants.ok()) telemetry->flight.trigger("invariant.violation");
   }
   result.traffic = net.stats();
   result.faults = net.fault_stats();
-  result.storage = jenga ? jenga->storage_report() : baseline->storage_report();
+  result.storage = system.storage_report();
   result.tps = result.stats.tps();
   result.latency_s = result.stats.avg_latency_seconds();
   result.cross_ratio = result.traffic.cross_shard_message_ratio();
@@ -308,7 +301,7 @@ RunResult run_experiment(const RunConfig& config) {
   result.sim_end = sim.now();
   result.nodes_per_shard = k;
   result.total_nodes = k * config.num_shards;
-  result.ledger_digest = jenga ? jenga->ledger_digest() : baseline->ledger_digest();
+  result.ledger_digest = system.ledger_digest();
   if (jenga) {
     result.state_digest = jenga->state_digest();
     result.cert_checks = jenga->cert_stats();
@@ -424,19 +417,12 @@ RunResult run_experiment(const RunConfig& config) {
     std::ofstream out(config.trace_out);
     if (out) telemetry->export_jsonl(out);
   }
-  if (!config.chrome_out.empty()) {
-    std::ofstream out(config.chrome_out);
-    if (out) telemetry->export_chrome(out);
-  }
   // Detach before the systems/network go out of scope (telemetry outlives
   // them via the shared_ptr in the result).
   net.set_telemetry(nullptr);
   net.set_arrival_observer(nullptr);
-  if (jenga) {
-    jenga->set_failure_detector(nullptr);
-    jenga->set_telemetry(nullptr);
-  }
-  if (baseline) baseline->set_telemetry(nullptr);
+  if (jenga) jenga->set_failure_detector(nullptr);
+  system.set_telemetry(nullptr);
   return result;
 }
 

@@ -50,11 +50,10 @@ struct RunConfig {
   /// ignoring inject_window.  0: open-loop uniform over the window.
   std::size_t closed_loop_window = 0;
   SimTime max_sim_time = 1200 * kSecond;
-  std::uint64_t trace_height = 1'000'000;  // workload maturity (Fig. 3 trends)
 
   workload::TraceConfig trace;  // num_contracts/num_accounts defaults apply
   baselines::CrossShardMode cross_mode = baselines::CrossShardMode::kClientRelay;
-  std::uint32_t merge_span = 0;  // Pyramid; 0 = max(2, S/2)
+  std::uint32_t merge_span = 0;  // Pyramid; 0 = max(2, S/4)
   std::uint32_t max_block_items = 4096;
   /// Worker threads for batch transaction execution (src/exec/), every system
   /// kind.  Results are bit-identical for every value; 1 = serial.
@@ -69,9 +68,6 @@ struct RunConfig {
   /// bit-identical on or off.  Adds cspan lines + per-tx dag_* fields to the
   /// JSONL export and enables critical-path extraction.
   bool causal_trace = false;
-  /// Span table capacity before new sends stop being traced (chains truncate
-  /// gracefully; the drop count is exported in the meta line).
-  std::size_t causal_span_capacity = std::size_t{1} << 20;
   /// > 0: keep a ring of the last N events per node and dump a causally
   /// ordered window when check_invariants fails, the 2PC watchdog fires, or
   /// replicas diverge on a decide.
@@ -79,18 +75,12 @@ struct RunConfig {
   /// Non-empty: each flight dump is also written to `<prefix>-<n>.jsonl`
   /// (dumps are always retained in telemetry->flight.dumps()).
   std::string flight_dump_path;
-  /// Non-empty: write a chrome://tracing-compatible JSON view of the causal
-  /// DAG here after the run (requires causal_trace).
-  std::string chrome_out;
 
   // --- Live epoch reconfiguration (Jenga kinds only; baselines ignore) ----
   /// > 0: reshuffle the lattice every `epoch_interval` of simulated time.
   SimTime epoch_interval = 0;
   SimTime epoch_drain_window = 10 * kSecond;
   SimTime epoch_beacon_lead = 20 * kSecond;
-  std::size_t epoch_min_contributions = 0;  // 0 = 2N/3 + 1
-  std::uint64_t epoch_vdf_iterations = 256;
-  std::size_t epoch_vdf_checkpoints = 8;
 
   // --- Durable authenticated state (Jenga kinds only; baselines ignore) ---
   core::StorageBackendKind storage_backend = core::StorageBackendKind::kNone;
@@ -109,27 +99,16 @@ struct RunConfig {
   /// total generated.
   workload::ArrivalConfig arrival;
   workload::RetryPolicy retry;
-  workload::FeeTierSpec fee_tiers;
   mempool::MempoolConfig mempool;  // per-ingress-shard pool
-  double mempool_soft_watermark = 0.70;
-  double mempool_hard_watermark = 0.95;
   /// Dispatch credit window: pool → system submissions keep at most this many
   /// transactions in flight (open-loop modes only).
   std::size_t max_inflight = 512;
-  SimTime pump_interval = 50 * kMillisecond;
   /// Scripted faults, armed before the run (Jenga kinds only; overload bursts
   /// additionally need an open-loop arrival mode to have a client to throttle).
+  /// A non-empty plan also attaches the phi-accrual failure detector to the
+  /// Jenga run (DESIGN.md §14): adaptive view timeouts, hotter pull repair,
+  /// hedged 2PC legs.  Clean runs get no detector.
   security::FaultPlan faults_plan;
-
-  // --- Self-healing (DESIGN.md §14) ---------------------------------------
-  /// Attach the phi-accrual failure detector, armed, to Jenga runs whose
-  /// `faults_plan` is non-empty: adaptive view timeouts, hotter pull repair,
-  /// hedged 2PC legs.  Other runs get no detector at all (it could not act
-  /// there), so clean runs stay bit-identical with this on or off.
-  bool self_healing = true;
-  security::DetectorConfig detector;
-  /// Stuck-2PC recovery ladder knobs (Jenga kinds; see core/recovery.hpp).
-  core::RecoveryConfig recovery;
 };
 
 /// Admission-layer outcome of an open-loop run (zeroed for legacy modes).
@@ -140,7 +119,8 @@ struct IngressReport {
   /// Chained hash over every admit/reject/evict/expire/dispatch event — the
   /// determinism witness for the admission sequence.
   Hash256 admission_digest{};
-  /// Post-drain safety audit (Jenga kinds only; see audited flag).
+  /// Post-drain safety audit (every system kind; Jenga kinds add their own
+  /// fields, see security::check_invariants).
   bool invariants_audited = false;
   security::InvariantReport invariants;
 };
@@ -175,8 +155,8 @@ struct RunResult {
   std::uint64_t epoch_txs_requeued = 0;
   /// Recovery-time state sync counters (all 0 unless model_state_sync).
   core::StateSyncStats state_sync;
-  /// Failure-detector activity: all 0 unless self_healing attached the
-  /// detector to a Jenga run with a fault plan.
+  /// Failure-detector activity: all 0 unless a fault plan attached the
+  /// detector to a Jenga run.
   security::DetectorStats detector;
   /// Stuck-2PC recovery-ladder activity (Jenga kinds; all 0 in clean runs).
   core::RecoveryStats recovery;

@@ -68,7 +68,6 @@ double FailureDetector::phi(NodeId observer, NodeId peer) const {
 }
 
 bool FailureDetector::suspect(NodeId observer, NodeId peer) {
-  if (!armed_) return false;
   const auto it = pairs_.find(pair_key(observer, peer));
   if (it == pairs_.end()) return false;
   PairState& p = it->second;
@@ -84,12 +83,11 @@ bool FailureDetector::suspect(NodeId observer, NodeId peer) {
 }
 
 bool FailureDetector::degraded() const {
-  if (!armed_ || baseline_ <= 0) return false;
+  if (baseline_ <= 0) return false;
   return ewma_ > baseline_ * config_.degrade_factor;
 }
 
 SimTime FailureDetector::view_timeout(NodeId observer, NodeId leader, SimTime base) {
-  if (!armed_) return base;
   if (suspect(observer, leader)) {
     const auto shrunk =
         static_cast<SimTime>(static_cast<double>(base) * config_.timeout_shrink);

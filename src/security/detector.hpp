@@ -14,18 +14,14 @@
 // suspected leader, the 2PC coordinator hedges its unicast legs, and the rumor
 // mesh tightens its pull-repair cadence when the whole network looks degraded.
 //
-// Actuation is gated on `armed()`: the advisory outputs (view_timeout /
-// pull_cadence / suspect transitions) only deviate from their static defaults
-// once a chaos plan arms the detector.  This is the simulation-determinism
-// compromise: inter-arrival statistics over bursty protocol traffic inevitably
-// cross any finite threshold during legitimate quiet periods, and a spurious
-// deviation in a clean run would break the bit-identity contract every
-// subsystem here is held to.  Faulted runs are exactly the runs that arm a
-// plan, so the detect -> react loop is live precisely when there is something
-// to react to.  The harness runner therefore attaches the detector only when
-// a fault plan arms it: an attached but unarmed detector still samples every
-// delivery, which cost about a fifth of a clean fig5a S=12 run's host time
-// while changing nothing.
+// An attached detector acts.  This is the simulation-determinism compromise:
+// inter-arrival statistics over bursty protocol traffic inevitably cross any
+// finite threshold during legitimate quiet periods, and a spurious deviation
+// in a clean run would break the bit-identity contract every subsystem here is
+// held to.  So the harness attaches a detector only to runs with a fault plan,
+// and the detect -> react loop is live precisely when there is something to
+// react to.  A clean run has no detector and pays nothing for it (sampling
+// every delivery cost about a fifth of a clean fig5a S=12 run's host time).
 #pragma once
 
 #include <cstdint>
@@ -75,10 +71,6 @@ class FailureDetector final : public sim::ArrivalObserver {
   FailureDetector(sim::Simulator& sim, DetectorConfig config = {})
       : sim_(sim), config_(config) {}
 
-  /// Arms actuation (see header comment).  Sampling runs either way.
-  void arm(bool on) { armed_ = on; }
-  [[nodiscard]] bool armed() const { return armed_; }
-
   // sim::ArrivalObserver
   void on_arrival(NodeId from, NodeId to, SimTime now) override;
 
@@ -86,17 +78,17 @@ class FailureDetector final : public sim::ArrivalObserver {
   /// 0 while below min_samples.
   [[nodiscard]] double phi(NodeId observer, NodeId peer) const;
 
-  /// True when phi crosses the suspicion threshold (armed only).  Records the
+  /// True when phi crosses the suspicion threshold.  Records the
   /// suspected -> cleared transitions for any_suspected()/stats.
   bool suspect(NodeId observer, NodeId peer);
 
   [[nodiscard]] bool any_suspected() const { return suspect_count_ > 0; }
 
   /// True when the global inter-arrival EWMA says the network as a whole is
-  /// running well above its healthy baseline (armed only).
+  /// running well above its healthy baseline.
   [[nodiscard]] bool degraded() const;
 
-  /// Adaptive BFT view timeout: exactly `base` when unarmed or healthy,
+  /// Adaptive BFT view timeout: exactly `base` when healthy,
   /// shrunk (floored) for a suspected leader, grown (ceilinged) when the
   /// network is degraded but the leader is not individually suspect.
   SimTime view_timeout(NodeId observer, NodeId leader, SimTime base);
@@ -127,7 +119,6 @@ class FailureDetector final : public sim::ArrivalObserver {
 
   sim::Simulator& sim_;
   DetectorConfig config_;
-  bool armed_ = false;
   std::unordered_map<std::uint64_t, PairState> pairs_;
   std::size_t suspect_count_ = 0;
   DetectorStats stats_;

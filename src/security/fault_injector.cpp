@@ -182,11 +182,9 @@ std::string InvariantReport::describe() const {
   return out.str();
 }
 
-InvariantReport check_invariants(const core::JengaSystem& sys, std::uint64_t initial_balance,
+InvariantReport check_invariants(const core::ShardedSystem& sys, std::uint64_t initial_balance,
                                  const mempool::IngressSet* ingress) {
   InvariantReport report;
-  report.twopc_stuck = sys.twopc_stuck_now();
-  report.twopc_stuck_total = sys.twopc_stuck_total();
   if (ingress != nullptr) {
     const mempool::IngressStats ms = ingress->stats();
     report.mempool_resident = ms.resident;
@@ -202,8 +200,17 @@ InvariantReport check_invariants(const core::JengaSystem& sys, std::uint64_t ini
   report.leaked_locks = sys.held_locks();
   report.expected_balance = initial_balance - sys.stats().fees_charged;
   report.actual_balance = sys.total_account_balance();
-  report.divergent_decides = sys.divergent_decides();
   report.limbo_txs = sys.in_flight();
+  return report;
+}
+
+InvariantReport check_invariants(const core::JengaSystem& sys, std::uint64_t initial_balance,
+                                 const mempool::IngressSet* ingress) {
+  InvariantReport report =
+      check_invariants(static_cast<const core::ShardedSystem&>(sys), initial_balance, ingress);
+  report.twopc_stuck = sys.twopc_stuck_now();
+  report.twopc_stuck_total = sys.twopc_stuck_total();
+  report.divergent_decides = sys.divergent_decides();
   const auto& epoch = sys.epoch_stats();
   report.boundary_lock_leaks = epoch.boundary_lock_leaks;
   report.boundary_balance_mismatches = epoch.boundary_balance_mismatches;

@@ -236,10 +236,16 @@ struct InvariantReport {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Audits `sys` after the simulation drained.  `initial_balance` is the sum
-/// of all genesis account balances; fees charged during the run are the only
-/// legitimate sink.  Pass the run's IngressSet to additionally audit the
+/// Audits `sys` after the simulation drained: leaked locks, balance
+/// conservation and limbo txs, on any system kind.  `initial_balance` is the
+/// sum of all genesis account balances; fees charged during the run are the
+/// only legitimate sink.  Pass the run's IngressSet to additionally audit the
 /// admission layer (bounded depth, entry conservation) — overload runs must.
+[[nodiscard]] InvariantReport check_invariants(const core::ShardedSystem& sys,
+                                               std::uint64_t initial_balance,
+                                               const mempool::IngressSet* ingress = nullptr);
+/// The same audit plus Jenga's own: stuck 2PC rounds, divergent decides,
+/// epoch-boundary audits and state-sync roots.
 [[nodiscard]] InvariantReport check_invariants(const core::JengaSystem& sys,
                                                std::uint64_t initial_balance,
                                                const mempool::IngressSet* ingress = nullptr);

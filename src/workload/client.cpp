@@ -3,6 +3,14 @@
 #include <utility>
 
 namespace jenga::workload {
+namespace {
+
+/// Fee-tier mix of generated transactions (FeeTierSpec's defaults).
+constexpr FeeTierSpec kFeeTiers{};
+/// Cadence of the pool -> system dispatch pump.
+constexpr SimTime kPumpInterval = 50 * kMillisecond;
+
+}  // namespace
 
 OpenLoopClient::OpenLoopClient(sim::Simulator& sim, mempool::IngressSet& ingress,
                                ClientConfig config, Rng rng, MakeTx make_tx, Submit submit,
@@ -43,8 +51,8 @@ void OpenLoopClient::on_arrival() {
   ++generated_;
   ++stats_.generated;
   ledger::Transaction tx = make_tx_();
-  const std::uint8_t tier = config_.fee_tiers.draw(tier_rng_);
-  tx.fee *= config_.fee_tiers.multipliers[tier];
+  const std::uint8_t tier = kFeeTiers.draw(tier_rng_);
+  tx.fee *= kFeeTiers.multipliers[tier];
   tx.finalize();  // fee is hashed: re-derive identity (and thus channel)
   offer_now(std::make_shared<const ledger::Transaction>(std::move(tx)), tier, 0);
   schedule_next_arrival();
@@ -114,7 +122,7 @@ void OpenLoopClient::schedule_retry(core::TxPtr tx, std::uint8_t tier,
 void OpenLoopClient::arm_pump() {
   if (pump_armed_ || !work_remaining()) return;
   pump_armed_ = true;
-  sim_.schedule_after(config_.pump_interval, [this] { pump(); });
+  sim_.schedule_after(kPumpInterval, [this] { pump(); });
 }
 
 void OpenLoopClient::pump() {

@@ -43,12 +43,10 @@ namespace jenga::workload {
 struct ClientConfig {
   ArrivalConfig arrival;
   RetryPolicy retry;
-  FeeTierSpec fee_tiers;
   /// Total transactions to generate (arrivals stop after this many).
   std::size_t total_txs = 0;
   /// Dispatch window: credits per pump tick = max_inflight − in_flight().
   std::size_t max_inflight = 512;
-  SimTime pump_interval = 50 * kMillisecond;
 };
 
 struct ClientStats {

@@ -134,6 +134,29 @@ TEST_P(BaselineKindTest, TransfersWork) {
   EXPECT_EQ(f.system->total_account_balance(), f.initial_balance);
 }
 
+/// Transfers interleaved with contract txs over the same accounts: every tx
+/// completes, no lock outlives it, and balances are conserved minus fees.
+/// Single Shard's MoveOut carries a sender's balance to shard 0 and writes it
+/// back as an absolute value, so a transfer touching that account must wait.
+TEST_P(BaselineKindTest, MixedTransfersAndContractsConserve) {
+  constexpr int kEach = 60;
+  for (std::uint64_t seed = 7; seed <= 12; ++seed) {
+    Fixture f(GetParam(), small_config(), seed);
+    for (int i = 0; i < kEach; ++i) {
+      f.sim.run_until(f.sim.now() + kSecond / 2);
+      f.submit_contract_tx();
+      f.sim.run_until(f.sim.now() + kSecond / 2);
+      f.system->submit(std::make_shared<Transaction>(f.gen->transfer_tx(f.sim.now())));
+    }
+    f.sim.run_until(2400 * kSecond);
+    const auto& st = f.system->stats();
+    EXPECT_EQ(st.committed + st.aborted, 2u * kEach) << "seed " << seed;
+    EXPECT_EQ(f.system->held_locks(), 0u) << "seed " << seed;
+    EXPECT_EQ(f.system->total_account_balance(), f.initial_balance - st.fees_charged)
+        << "seed " << seed;
+  }
+}
+
 TEST_P(BaselineKindTest, DeterministicAcrossRuns) {
   std::uint64_t committed[2];
   for (int round = 0; round < 2; ++round) {

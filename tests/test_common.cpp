@@ -4,12 +4,10 @@
 #include <set>
 #include <string>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/codec.hpp"
 #include "common/hex.hpp"
-#include "common/log.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -175,29 +173,6 @@ TEST(StrongId, TypeSafetyAndHash) {
   EXPECT_LT(a, c);
   std::unordered_set<NodeId> set{a, b, c};
   EXPECT_EQ(set.size(), 2u);
-}
-
-TEST(Log, SinkCapturesFormattedLinesAndRestores) {
-  const LogLevel saved = log_level();
-  set_log_level(LogLevel::kInfo);
-  std::vector<std::pair<LogLevel, std::string>> captured;
-  set_log_sink([&](LogLevel lv, const std::string& line) { captured.emplace_back(lv, line); });
-
-  JENGA_LOG_INFO("hello %d %s", 42, "world");
-  JENGA_LOG_DEBUG("below threshold %d", 1);  // filtered out
-  JENGA_LOG_ERROR("boom");
-
-  ASSERT_EQ(captured.size(), 2u);
-  EXPECT_EQ(captured[0].first, LogLevel::kInfo);
-  EXPECT_EQ(captured[0].second, "hello 42 world");
-  EXPECT_EQ(captured[1].first, LogLevel::kError);
-  EXPECT_EQ(captured[1].second, "boom");
-
-  // Empty sink restores the stderr default; no further capture.
-  set_log_sink({});
-  JENGA_LOG_ERROR("not captured");
-  EXPECT_EQ(captured.size(), 2u);
-  set_log_level(saved);
 }
 
 TEST(Hash256, PrefixU64BigEndian) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "harness/genesis.hpp"
@@ -388,18 +389,36 @@ TEST_P(OpenLoopDeterminism, IdenticalAcrossExecWorkerCounts) {
   EXPECT_EQ(serial.ingress.pools.totals.admitted, parallel.ingress.pools.totals.admitted);
 }
 
+std::string kind_param_name(const ::testing::TestParamInfo<SystemKind>& info) {
+  switch (info.param) {
+    case SystemKind::kJenga: return "Jenga";
+    case SystemKind::kCxFunc: return "CxFunc";
+    case SystemKind::kSingleShard: return "SingleShard";
+    case SystemKind::kPyramid: return "Pyramid";
+    default: return "?";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Systems, OpenLoopDeterminism,
                          ::testing::Values(SystemKind::kJenga, SystemKind::kCxFunc,
                                            SystemKind::kSingleShard, SystemKind::kPyramid),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case SystemKind::kJenga: return "Jenga";
-                             case SystemKind::kCxFunc: return "CxFunc";
-                             case SystemKind::kSingleShard: return "SingleShard";
-                             case SystemKind::kPyramid: return "Pyramid";
-                             default: return "?";
-                           }
-                         });
+                         kind_param_name);
+
+/// The runner audits every open-loop run after it drains, baselines included:
+/// no leaked locks, balances conserved minus fees, nothing in limbo, every
+/// admitted tx accounted for.
+class OpenLoopAudit : public ::testing::TestWithParam<SystemKind> {};
+
+TEST_P(OpenLoopAudit, BaselineRunsAreAuditedAndHold) {
+  const RunResult r = run_experiment(open_loop_run(GetParam(), 1));
+  ASSERT_TRUE(r.ingress.invariants_audited);
+  EXPECT_TRUE(r.ingress.invariants.ok()) << r.ingress.invariants.describe();
+}
+
+INSTANTIATE_TEST_SUITE_P(Baselines, OpenLoopAudit,
+                         ::testing::Values(SystemKind::kCxFunc, SystemKind::kSingleShard,
+                                           SystemKind::kPyramid),
+                         kind_param_name);
 
 TEST(OpenLoop, EveryGeneratedTxReachesOneTerminalState) {
   const RunResult r = run_experiment(open_loop_run(SystemKind::kJenga, 1));

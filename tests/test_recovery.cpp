@@ -206,8 +206,7 @@ TEST(Recovery, GrayFaultWindowsCompleteAndConserve) {
 // Runner-level wiring
 // ---------------------------------------------------------------------------
 
-harness::RunConfig runner_config(harness::SystemKind kind, std::uint32_t workers,
-                                 bool self_healing) {
+harness::RunConfig runner_config(harness::SystemKind kind, std::uint32_t workers) {
   harness::RunConfig rc;
   rc.kind = kind;
   rc.num_shards = 2;
@@ -218,14 +217,13 @@ harness::RunConfig runner_config(harness::SystemKind kind, std::uint32_t workers
   rc.inject_window = 10 * kSecond;
   rc.max_sim_time = 900 * kSecond;
   rc.exec_workers = workers;
-  rc.self_healing = self_healing;
   return rc;
 }
 
-/// With self-healing on and no faults, every digest and the full metric
-/// registry are bit-identical to a self-healing-off run — on Jenga and the
-/// baselines, serial and parallel exec.
-TEST(Recovery, SelfHealingToggleIsBitIdenticalOnCleanRuns) {
+/// A run without a fault plan attaches no failure detector — on Jenga and
+/// the baselines, serial and parallel exec — so a clean run pays nothing for
+/// self-healing and nothing can perturb it.
+TEST(Recovery, CleanRunsAttachNoDetector) {
   const harness::SystemKind kinds[] = {
       harness::SystemKind::kJenga,
       harness::SystemKind::kCxFunc,
@@ -234,17 +232,12 @@ TEST(Recovery, SelfHealingToggleIsBitIdenticalOnCleanRuns) {
   };
   for (const auto kind : kinds) {
     for (const std::uint32_t workers : {1u, 4u}) {
-      const auto off = harness::run_experiment(runner_config(kind, workers, false));
-      const auto on = harness::run_experiment(runner_config(kind, workers, true));
+      const auto run = harness::run_experiment(runner_config(kind, workers));
       const std::string label = std::string(harness::system_name(kind)) +
                                 " workers=" + std::to_string(workers);
-      EXPECT_EQ(off.ledger_digest, on.ledger_digest) << label;
-      EXPECT_EQ(off.state_digest, on.state_digest) << label;
-      EXPECT_EQ(off.telemetry->registry.to_json(), on.telemetry->registry.to_json())
-          << label;
-      // No fault plan, so no detector is attached: a clean run pays nothing.
-      EXPECT_EQ(on.detector.samples, 0u) << label;
-      EXPECT_EQ(on.detector.suspicions, 0u) << label;
+      EXPECT_EQ(run.stats.committed + run.stats.aborted, 45u) << label;
+      EXPECT_EQ(run.detector.samples, 0u) << label;
+      EXPECT_EQ(run.detector.suspicions, 0u) << label;
     }
   }
 }
@@ -252,7 +245,7 @@ TEST(Recovery, SelfHealingToggleIsBitIdenticalOnCleanRuns) {
 /// A scripted gray plan arms the detector through the runner: sampling is
 /// live, the windows fire, and the run still completes and conserves.
 TEST(Recovery, RunnerArmsDetectorUnderGrayPlan) {
-  harness::RunConfig rc = runner_config(harness::SystemKind::kJenga, 1, true);
+  harness::RunConfig rc = runner_config(harness::SystemKind::kJenga, 1);
   GrayFault lossy;
   lossy.kind = GrayFaultKind::kLossyNic;
   lossy.at = 2 * kSecond;
