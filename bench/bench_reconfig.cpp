@@ -60,8 +60,6 @@ CellResult run_cell(SimTime interval, double drop, int churn) {
   cfg.view_timeout = 15 * kSecond;
   cfg.pending_timeout = 60 * kSecond;
   cfg.epoch_interval = interval;
-  cfg.epoch_drain_window = 10 * kSecond;
-  cfg.epoch_beacon_lead = 20 * kSecond;
 
   workload::TraceConfig tc;
   tc.num_contracts = 150;

@@ -365,12 +365,7 @@ void BaselineSystem::apply_commit(Shard& shard, const WorkItem& item, BlockCtx& 
   if (buffered != shard.buffered.end()) shard.buffered.erase(buffered);
 
   // Fee charged by the sender's shard on both outcomes (paper §V-C).
-  if (home_of_account(tx.sender) == shard.id) {
-    const std::uint64_t bal = shard.store.balance(tx.sender).value_or(0);
-    const std::uint64_t charge = std::min(bal, tx.fee);
-    shard.store.set_balance(tx.sender, bal - charge);
-    stats_.fees_charged += charge;
-  }
+  if (home_of_account(tx.sender) == shard.id) charge_fee(shard, tx.sender, tx.fee);
   tx_shard_finished(tx.hash, item.ok);
 }
 

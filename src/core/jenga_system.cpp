@@ -27,6 +27,12 @@ constexpr std::uint64_t kChannelGroupTag = 0xC4A70000ULL;
 /// sequential squarings.
 constexpr std::uint64_t kEpochVdfIterations = 256;
 constexpr std::size_t kEpochVdfCheckpoints = 8;
+/// Bounded drain window before each cutover: shards stop admitting new
+/// Phase-1 work while in-flight transactions finish.
+constexpr SimTime kEpochDrainWindow = 10 * kSecond;
+/// How long before the cutover the beacon round starts (VRF contributions
+/// gossiped as real messages; the quorum must land within this lead).
+constexpr SimTime kEpochBeaconLead = 20 * kSecond;
 
 /// One committed (or aborted) transaction within a shard block.
 struct CommitItem {
@@ -103,16 +109,58 @@ struct ContinuationPayload : sim::Payload {
   [[nodiscard]] std::uint32_t wire_size() const { return 128 + gathered.wire_size(); }
 };
 
-/// Content-derived dedup identity of a relayed protocol message: every
-/// subgroup relay of the same certified outcome computes the same id, so in
-/// rumor mode their spreads merge into one (DESIGN.md §12).
+/// Dedup key of a grant batch at its receiving engine: one per (source
+/// shard, decided height).
+std::uint64_t grant_key(const GrantBatchPayload& p) {
+  return (static_cast<std::uint64_t>(p.source.value) << 40) ^ p.shard_height;
+}
+
 /// Type-salted pool-dedup key for a parked grant batch (results use their
-/// already-mixed result_dedup key; the salt keeps the two spaces apart).
+/// already-mixed result_key; the salt keeps the two spaces apart).
 std::uint64_t grant_park_key(std::uint64_t key) {
   std::uint64_t state = key ^ 0xA1C3ULL;
   return splitmix64(state);
 }
 
+/// Dedup key of a result batch at its target shard: one per (source group,
+/// target, decided height).
+std::uint64_t result_key(const ResultBatchPayload& p) {
+  std::uint64_t state = 0x9E3779B97F4A7C15ULL * (p.source.value + 1) +
+                        0xC2B2AE3D27D4EB4FULL * (p.target.value + 1) + p.channel_height;
+  return splitmix64(state);
+}
+
+/// Wraps one target's result batch as an execution-result message.
+sim::Message result_message(NodeId from, ResultBatchPayload batch, std::uint8_t hops) {
+  auto rp = std::make_shared<ResultBatchPayload>(std::move(batch));
+  rp->hops = hops;
+  sim::Message m;
+  m.type = sim::MsgType::kExecResult;
+  m.from = from;
+  m.size_bytes = rp->wire_size();
+  m.payload = std::move(rp);
+  return m;
+}
+
+/// Fee prologue (paper §V-C, Transaction Fee): charges the declared sender
+/// inside the gathered bundle.  False when the bundle cannot pay.
+bool deduct_fee(PortableState& bundle, const Transaction& tx) {
+  const auto it = bundle.balances.find(tx.sender);
+  if (it == bundle.balances.end() || it->second < tx.fee) return false;
+  it->second -= tx.fee;
+  return true;
+}
+
+/// A relay certificate's signer bitmap must span the whole source group and
+/// hold a 2f+1 quorum of it.
+bool cert_shape_ok(const consensus::QuorumCert& cert, std::size_t group_size) {
+  return cert.sig.signers.size() == group_size &&
+         cert.sig.signer_count() >= 2 * ((group_size - 1) / 3) + 1;
+}
+
+/// Content-derived dedup identity of a relayed protocol message: every
+/// subgroup relay of the same certified outcome computes the same id, so in
+/// rumor mode their spreads merge into one (DESIGN.md §12).
 std::uint64_t relay_rumor_id(const sim::Message& msg) {
   switch (msg.type) {
     case sim::MsgType::kStateGrant: {
@@ -134,6 +182,39 @@ std::uint64_t relay_rumor_id(const sim::Message& msg) {
     default:
       return sim::rumor_id_mix(static_cast<std::uint64_t>(msg.type), msg.size_bytes);
   }
+}
+
+/// Second relay leg: a member of subgroup(target, channel) rebroadcasts a
+/// message that arrived through the channel (`p.hops > 0`) into shard
+/// `target`, with the hop spent.
+template <typename P>
+void relay_into_shard(sim::Network& net, const Lattice& lattice, NodeId node, ShardId target,
+                      const sim::Message& msg, const P& p) {
+  auto fp = std::make_shared<P>(p);
+  fp->hops = 0;
+  sim::Message fwd = msg;
+  fwd.payload = std::move(fp);
+  net.broadcast(sim::BroadcastKind::kRelay, node, lattice.shard_members(target),
+                relay_rumor_id(fwd), fwd, sim::TrafficClass::kIntraShard);
+}
+
+/// Builds a 2PC message.  A prepare carries the transfer; so does a probe,
+/// which the destination may adopt as the prepare.
+sim::Message two_pc_message(NodeId from, const TxPtr& tx, bool commit, TwoPcPayload::Op op,
+                            std::uint32_t attempt) {
+  auto pp = std::make_shared<TwoPcPayload>();
+  pp->tx = tx;
+  pp->commit = commit;
+  pp->op = op;
+  pp->attempt = attempt;
+  const bool carries_tx =
+      !commit && (op == TwoPcPayload::Op::kLeg || op == TwoPcPayload::Op::kProbe);
+  sim::Message m;
+  m.type = commit ? sim::MsgType::kTwoPcCommit : sim::MsgType::kTwoPcPrepare;
+  m.from = from;
+  m.size_bytes = carries_tx ? ledger::kTxWireBytes + 96 : 160;
+  m.payload = std::move(pp);
+  return m;
 }
 
 }  // namespace
@@ -181,10 +262,17 @@ struct GatherUnit {
   }
 
   /// finish() for an entry whose tx never arrived: remember it so late grants
-  /// still get an abort answer instead of being swallowed by `done`.
-  void finish_dead(const Hash256& h) {
+  /// still get an abort answer instead of being swallowed by `done`.  Returns
+  /// the shards that granted it, sorted for determinism.
+  std::vector<std::uint32_t> finish_dead(const Hash256& h) {
+    std::vector<std::uint32_t> sources;
+    if (const auto it = pending.find(h); it != pending.end()) {
+      sources.assign(it->second.reported.begin(), it->second.reported.end());
+      std::sort(sources.begin(), sources.end());
+    }
     expired_dead.insert(h);
     finish(h);
+    return sources;
   }
 
   void on_tx(const TxPtr& tx, std::size_t expected, SimTime now) {
@@ -243,7 +331,47 @@ struct GatherUnit {
   }
 };
 
-struct JengaSystem::ShardEngine : ShardLedger {
+/// What every consensus group's engine keeps, a state shard's and an
+/// execution channel's alike.
+struct JengaSystem::GroupEngine {
+  /// Gathers grants when this group is a transaction's execution site
+  /// (JengaSystem::exec_site).
+  GatherUnit gather;
+  std::unordered_set<std::uint64_t> grant_dedup;  // grant_key() of ingested batches
+  std::uint64_t next_process_height = 0;
+  /// Relays each decided height owes, as (target group, message) pairs: into
+  /// a channel from a shard decision, into a shard from a channel decision.
+  /// Kept for 64 heights so every replica, however late it decides, still
+  /// performs its own forwarding duty.
+  using Relays = std::vector<std::pair<std::uint32_t, sim::Message>>;
+  std::unordered_map<std::uint64_t, Relays> outcomes;
+
+  /// True for the first replica to decide `height`: it performs the shared
+  /// state transition.
+  bool first_decide(std::uint64_t height) {
+    if (height < next_process_height) return false;
+    next_process_height = height + 1;
+    return true;
+  }
+
+  void store_outcome(std::uint64_t height, Relays relays) {
+    outcomes[height] = std::move(relays);
+    outcomes.erase(height >= 64 ? height - 64 : UINT64_MAX);
+  }
+
+  /// Epoch-scoped state restarts at a cutover: heights restart at 0.
+  void reset_epoch() {
+    GatherUnit fresh;
+    fresh.tracer = gather.tracer;
+    fresh.tracer_key = gather.tracer_key;
+    gather = std::move(fresh);
+    grant_dedup.clear();
+    outcomes.clear();
+    next_process_height = 0;
+  }
+};
+
+struct JengaSystem::ShardEngine : ShardLedger, GroupEngine {
   ledger::LogicStore local_logic;  // kNoGlobalLogic: only home contracts
 
   std::deque<DetermineItem> determine;
@@ -251,7 +379,6 @@ struct JengaSystem::ShardEngine : ShardLedger {
   std::deque<TransferItem> transfers;
   std::deque<ExecVisit> visits;
   std::deque<std::pair<Hash256, std::vector<std::uint32_t>>> dead_gathers;
-  GatherUnit gather;  // kNoLattice / kNoGlobalLogic
 
   std::unordered_set<Hash256> seen_client;  // dedup client submissions
   /// Txs whose outcome this shard already applied.  Per-shard, not global:
@@ -263,8 +390,7 @@ struct JengaSystem::ShardEngine : ShardLedger {
   /// Abort fees waiting for the sender's account lock to clear (charging
   /// while another tx holds the account would be lost to that tx's commit).
   std::deque<std::pair<AccountId, std::uint64_t>> deferred_abort_fees;
-  std::unordered_set<std::uint64_t> grant_dedup;   // (source<<32|height) keys
-  std::unordered_set<std::uint64_t> result_dedup;  // (source<<32|height) keys
+  std::unordered_set<std::uint64_t> result_dedup;  // result_key() of ingested batches
   /// 2PC destination-side recovery records, keyed by attempt-scoped hashes
   /// (twopc_key).  `twopc_credited`: the credit of that (tx, attempt) was
   /// applied — a probe re-sends the lost ack instead of re-crediting.
@@ -275,27 +401,36 @@ struct JengaSystem::ShardEngine : ShardLedger {
   std::unordered_set<Hash256> twopc_tombstones;
   std::unordered_map<Hash256, std::uint32_t> continuation_dedup;  // tx -> max step seen
 
-  std::uint64_t next_process_height = 0;
-  struct Outcome {
-    // (channel, message) pairs each subgroup member must rebroadcast.
-    std::vector<std::pair<ChannelId, sim::Message>> to_channels;
-  };
-  std::unordered_map<std::uint64_t, Outcome> outcomes;
-
   explicit ShardEngine(ShardId s) : ShardLedger(s) {}
 };
 
-struct JengaSystem::ChannelEngine {
+struct JengaSystem::ChannelEngine : GroupEngine {
   ChannelId id;
-  GatherUnit gather;
-  std::unordered_set<std::uint64_t> grant_dedup;
-  std::uint64_t next_process_height = 0;
-  struct Outcome {
-    std::vector<std::pair<ShardId, sim::Message>> to_shards;
-  };
-  std::unordered_map<std::uint64_t, Outcome> outcomes;
 
   explicit ChannelEngine(ChannelId c) : id(c) {}
+};
+
+/// Execution results of one decision, batched per target shard so each
+/// (decision, target) pair is exactly one message.
+struct ResultBatches {
+  ChannelId source;  // the deciding group (a shard id outside kFull)
+  std::uint64_t height = 0;
+  std::uint64_t epoch = 0;
+  const consensus::QuorumCert& cert;
+  std::map<std::uint32_t, ResultBatchPayload> by_target;
+
+  void add(ShardId target, const ExecResult& result) {
+    auto& batch = by_target[target.value];
+    batch.source = source;
+    batch.channel_height = height;
+    batch.epoch = epoch;
+    batch.target = target;
+    batch.cert = cert;
+    batch.results.push_back(result);
+  }
+  void add(const std::vector<ShardId>& targets, const ExecResult& result) {
+    for (ShardId target : targets) add(target, result);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -429,12 +564,17 @@ std::uint64_t JengaSystem::channel_tag(ChannelId c) const {
   return (epoch_ << 32) | kChannelGroupTag | c.value;
 }
 
+std::uint64_t JengaSystem::vote_key_seed(bool channel_group, std::uint32_t gid) const {
+  return (config_.seed ^ ((channel_group ? 0xC4A20000ULL : 0x51ED0000ULL) + gid)) +
+         epoch_ * 0xD1B54A32D192ED03ULL;
+}
+
 std::size_t JengaSystem::min_contributions() const {
   return 2 * static_cast<std::size_t>(lattice_->total_nodes()) / 3 + 1;
 }
 
 void JengaSystem::build_replicas() {
-  const bool run_channels = config_.pipeline == Pipeline::kFull;
+  const bool run_channels = sites_are_channels();
   const std::uint32_t n = lattice_->total_nodes();
 
   // One BFT config per group, shared among its replicas.  Tags and vote-key
@@ -446,13 +586,13 @@ void JengaSystem::build_replicas() {
     auto sc = std::make_shared<consensus::BftConfig>();
     sc->members = lattice_->shard_members(ShardId{g});
     sc->group_tag = shard_tag(ShardId{g});
-    sc->crypto_seed = (config_.seed ^ (0x51ED0000ULL + g)) + epoch_ * 0xD1B54A32D192ED03ULL;
+    sc->crypto_seed = vote_key_seed(/*channel_group=*/false, g);
     sc->view_timeout = config_.view_timeout;
     shard_cfg[g] = std::move(sc);
     auto cc = std::make_shared<consensus::BftConfig>();
     cc->members = lattice_->channel_members(ChannelId{g});
     cc->group_tag = channel_tag(ChannelId{g});
-    cc->crypto_seed = (config_.seed ^ (0xC4A20000ULL + g)) + epoch_ * 0xD1B54A32D192ED03ULL;
+    cc->crypto_seed = vote_key_seed(/*channel_group=*/true, g);
     cc->view_timeout = config_.view_timeout;
     channel_cfg[g] = std::move(cc);
   }
@@ -634,6 +774,7 @@ void JengaSystem::set_telemetry(telemetry::Telemetry* t) {
   for (auto& r : shard_replicas_) r->set_telemetry(t);
   for (auto& r : channel_replicas_)
     if (r) r->set_telemetry(t);
+  // Gathers keep their tracer across epoch resets (GroupEngine::reset_epoch).
   telemetry::PhaseTracer* tracer = t == nullptr ? nullptr : &t->tracer;
   for (auto& s : shards_) {
     s->gather.tracer = tracer;
@@ -648,6 +789,11 @@ void JengaSystem::set_telemetry(telemetry::Telemetry* t) {
 NodeId JengaSystem::shard_leader(ShardId s) const {
   const NodeId probe = lattice_->shard_members(s).front();
   return shard_replicas_[probe.value]->current_leader();
+}
+
+void JengaSystem::count(std::uint64_t& stat, const char* metric) {
+  ++stat;
+  if (telemetry_ != nullptr) telemetry_->registry.counter(metric).inc();
 }
 
 void JengaSystem::note_decide(std::uint64_t group_tag, std::uint64_t height,
@@ -708,13 +854,33 @@ NodeId JengaSystem::channel_contact(ChannelId c) const {
   return members[contact_rr_ % members.size()];
 }
 
+bool JengaSystem::sites_are_channels() const { return config_.pipeline == Pipeline::kFull; }
+
+std::uint32_t JengaSystem::exec_site(const Transaction& tx) const {
+  if (sites_are_channels()) return ledger::channel_of_tx(tx.hash, config_.num_shards).value;
+  if (config_.pipeline == Pipeline::kNoLattice)
+    return static_cast<std::uint32_t>(tx.hash.prefix_u64() % config_.num_shards);
+  // kNoGlobalLogic: the first step's home shard gathers and starts execution.
+  return ledger::shard_of_contract(tx.contracts[tx.steps.front().contract_slot],
+                                   config_.num_shards)
+      .value;
+}
+
+std::uint32_t JengaSystem::site_of(const Assignment& asg) const {
+  return sites_are_channels() ? asg.channel.value : asg.shard.value;
+}
+
+JengaSystem::GroupEngine& JengaSystem::site_engine(std::uint32_t site) const {
+  if (sites_are_channels()) return *channels_[site];
+  return *shards_[site];
+}
+
 // ---------------------------------------------------------------------------
 // Client submission
 // ---------------------------------------------------------------------------
 
 void JengaSystem::submit(TxPtr tx) {
-  const auto involved = involved_shards(*tx);
-  track_submit(tx, involved.size());
+  track_submit(tx, involved_shards(*tx).size());
 
   ++contact_rr_;
   auto payload = std::make_shared<TxPayload>();
@@ -723,28 +889,56 @@ void JengaSystem::submit(TxPtr tx) {
   msg.type = sim::MsgType::kClientTx;
   msg.size_bytes = tx->wire_size();
   msg.payload = std::move(payload);
+  send_client_copies(*tx, msg);
+}
 
-  if (tx->kind == TxKind::kTransfer) {
-    // Traditional 2PC path starts at the sender's shard only.
-    net_.client_send(shard_contact(ledger::shard_of_account(tx->sender, config_.num_shards)),
+void JengaSystem::send_client_copies(const Transaction& tx, const sim::Message& msg) {
+  if (tx.kind == TxKind::kTransfer) {
+    // Traditional 2PC path starts at the sender's shard only.  The tracker
+    // counts both shards; same-shard transfers count one.
+    net_.client_send(shard_contact(ledger::shard_of_account(tx.sender, config_.num_shards)),
                      msg);
-    // The tracker counts both shards; same-shard transfers count one.
     return;
   }
-
-  for (ShardId s : involved) net_.client_send(shard_contact(s), msg);
+  for (ShardId s : involved_shards(tx)) net_.client_send(shard_contact(s), msg);
   // The execution site also needs the transaction itself.
-  if (config_.pipeline == Pipeline::kFull) {
-    net_.client_send(channel_contact(ledger::channel_of_tx(tx->hash, config_.num_shards)), msg);
-  } else if (config_.pipeline == Pipeline::kNoLattice) {
-    const ShardId exec{static_cast<std::uint32_t>(tx->hash.prefix_u64() % config_.num_shards)};
-    net_.client_send(shard_contact(exec), msg);
-  } else {
-    // kNoGlobalLogic: the first step's home shard gathers and starts execution.
-    const ShardId first = ledger::shard_of_contract(
-        tx->contracts[tx->steps.front().contract_slot], config_.num_shards);
-    net_.client_send(shard_contact(first), msg);
+  const std::uint32_t site = exec_site(tx);
+  net_.client_send(sites_are_channels() ? channel_contact(ChannelId{site})
+                                        : shard_contact(ShardId{site}),
+                   msg);
+}
+
+bool JengaSystem::ingest_client_tx(const TxPtr& tx, Assignment at, bool requeue) {
+  ShardEngine& eng = *shards_[at.shard.value];
+  // The first copy queues the shard's Phase-1 work and later copies are
+  // dropped.  A requeue queues it again and marks it seen, so a client copy
+  // still in flight across the boundary cannot queue a second one.
+  const auto should_queue = [&] { return eng.seen_client.insert(tx->hash).second || requeue; };
+
+  if (tx->kind == TxKind::kTransfer) {
+    if (ledger::shard_of_account(tx->sender, config_.num_shards) != at.shard) return false;
+    if (should_queue()) {
+      // A transfer whose attempt was refunded resumes at its next attempt:
+      // the destination has tombstoned the keys of the earlier ones.
+      const auto it = requeue ? retry_attempts_.find(tx->hash) : retry_attempts_.end();
+      eng.transfers.push_back(
+          TransferItem{tx, 0, it == retry_attempts_.end() ? 0 : it->second});
+    }
+    return true;
   }
+
+  const auto involved = involved_shards(*tx);
+  bool role = false;
+  if (std::find(involved.begin(), involved.end(), at.shard) != involved.end()) {
+    role = true;
+    if (should_queue()) eng.determine.push_back(DetermineItem{tx, 0});
+  }
+  const std::uint32_t site = exec_site(*tx);
+  if (site_of(at) == site) {
+    role = true;
+    site_engine(site).gather.on_tx(tx, involved.size(), sim_.now());
+  }
+  return role;
 }
 
 // ---------------------------------------------------------------------------
@@ -784,15 +978,7 @@ void JengaSystem::on_node_message(NodeId node, const sim::Message& msg) {
           eng.continuation_dedup[p.tx->hash] = p.next_step;
           eng.visits.push_back(ExecVisit{p.tx, p.gathered, p.next_step});
         }
-        if (p.hops > 0) {
-          // Member of subgroup(target, channel): rebroadcast into the shard.
-          sim::Message fwd = msg;
-          auto fp = std::make_shared<ContinuationPayload>(p);
-          fp->hops = 0;
-          fwd.payload = std::move(fp);
-          net_.broadcast(sim::BroadcastKind::kRelay, node, lattice_->shard_members(p.target),
-                         relay_rumor_id(fwd), fwd, sim::TrafficClass::kIntraShard);
-        }
+        if (p.hops > 0) relay_into_shard(net_, *lattice_, node, p.target, msg, p);
       }
       return;
     }
@@ -805,61 +991,8 @@ void JengaSystem::on_node_message(NodeId node, const sim::Message& msg) {
 }
 
 void JengaSystem::handle_client_tx(NodeId node, const sim::Message& msg) {
-  const auto& p = sim::payload_as<TxPayload>(msg);
-  const TxPtr& tx = p.tx;
-  const Assignment asg = lattice_->assignment(node);
-  ShardEngine& eng = *shards_[asg.shard.value];
-  bool ingested = false;  // did this node have any role for the tx?
-
-  if (tx->kind == TxKind::kTransfer) {
-    if (ledger::shard_of_account(tx->sender, config_.num_shards) == asg.shard) {
-      ingested = true;
-      if (!eng.seen_client.contains(tx->hash)) {
-        eng.seen_client.insert(tx->hash);
-        eng.transfers.push_back(TransferItem{tx, 0});
-      }
-    }
-  } else {
-    const auto involved = involved_shards(*tx);
-    const bool shard_involved =
-        std::find(involved.begin(), involved.end(), asg.shard) != involved.end();
-    if (shard_involved) {
-      ingested = true;
-      if (!eng.seen_client.contains(tx->hash)) {
-        eng.seen_client.insert(tx->hash);
-        eng.determine.push_back(DetermineItem{tx, 0});
-      }
-    }
-
-    switch (config_.pipeline) {
-      case Pipeline::kFull: {
-        const ChannelId target = ledger::channel_of_tx(tx->hash, config_.num_shards);
-        if (asg.channel == target) {
-          ingested = true;
-          channels_[target.value]->gather.on_tx(tx, involved.size(), sim_.now());
-        }
-        break;
-      }
-      case Pipeline::kNoLattice: {
-        const ShardId exec{
-            static_cast<std::uint32_t>(tx->hash.prefix_u64() % config_.num_shards)};
-        if (asg.shard == exec) {
-          ingested = true;
-          eng.gather.on_tx(tx, involved.size(), sim_.now());
-        }
-        break;
-      }
-      case Pipeline::kNoGlobalLogic: {
-        const ShardId first = ledger::shard_of_contract(
-            tx->contracts[tx->steps.front().contract_slot], config_.num_shards);
-        if (asg.shard == first) {
-          ingested = true;
-          eng.gather.on_tx(tx, involved.size(), sim_.now());
-        }
-        break;
-      }
-    }
-  }
+  const TxPtr& tx = sim::payload_as<TxPayload>(msg).tx;
+  if (ingest_client_tx(tx, lattice_->assignment(node), /*requeue=*/false)) return;
 
   // A client copy in flight across an epoch cutover can land on a node whose
   // new assignment gives it no role for this tx (the submit-time contact
@@ -867,95 +1000,43 @@ void JengaSystem::handle_client_tx(NodeId node, const sim::Message& msg) {
   // not lost; every downstream ingest point dedups, so a crossed requeue is
   // harmless.  Unreachable while reconfiguration is off (assignments never
   // change), so legacy runs are untouched.
-  if (!ingested && tracker_.contains(tx->hash) && rerouted_.insert(tx->hash).second) {
-    if (tx->kind == TxKind::kTransfer) {
-      net_.client_send(shard_contact(ledger::shard_of_account(tx->sender, config_.num_shards)),
-                       msg);
-      return;
-    }
-    for (ShardId s : involved_shards(*tx)) net_.client_send(shard_contact(s), msg);
-    if (config_.pipeline == Pipeline::kFull) {
-      net_.client_send(channel_contact(ledger::channel_of_tx(tx->hash, config_.num_shards)),
-                       msg);
-    } else if (config_.pipeline == Pipeline::kNoLattice) {
-      const ShardId exec{
-          static_cast<std::uint32_t>(tx->hash.prefix_u64() % config_.num_shards)};
-      net_.client_send(shard_contact(exec), msg);
-    } else {
-      const ShardId first = ledger::shard_of_contract(
-          tx->contracts[tx->steps.front().contract_slot], config_.num_shards);
-      net_.client_send(shard_contact(first), msg);
-    }
-  }
+  if (tracker_.contains(tx->hash) && rerouted_.insert(tx->hash).second)
+    send_client_copies(*tx, msg);
 }
 
 void JengaSystem::handle_grant_batch(NodeId node, const sim::Message& msg) {
   const auto& p = sim::payload_as<GrantBatchPayload>(msg);
   if (p.epoch != epoch_) return;  // straddled a reshuffle; its txs were requeued
   const Assignment asg = lattice_->assignment(node);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(p.source.value) << 40) ^ p.shard_height;
+  if (config_.pipeline == Pipeline::kNoGlobalLogic) {
+    // Leg 1 lands on all channel members; only nodes of the target shard
+    // ingest, and subgroup(relay_target, channel) rebroadcasts (leg 2).
+    if (asg.shard != p.relay_target) return;
+    if (p.hops > 0) relay_into_shard(net_, *lattice_, node, asg.shard, msg, p);
+  }
+
+  // Ingest once per batch at the node's own site: its channel in kFull
+  // (grants are delivered inside it), its shard otherwise (kNoLattice:
+  // relayed to the execution shard's contact node).
+  const std::uint32_t site = site_of(asg);
+  GroupEngine& sink = site_engine(site);
+  const std::uint64_t key = grant_key(p);
+  if (sink.grant_dedup.contains(key)) return;
+  const std::uint64_t pool_tag =
+      sites_are_channels() ? channel_tag(asg.channel) : shard_tag(asg.shard);
+  if (try_park_for_pooled_verify(node, msg, pool_tag, grant_park_key(key), p.cert)) return;
+  if (!verify_relay_cert(p.cert, /*channel_group=*/false, p.source.value)) return;
+  sink.grant_dedup.insert(key);
 
   // Grants for an entry that already expired tx-less get an abort answer (so
   // the granting shard's Phase-1 locks release) instead of resurrecting it.
-  auto ingest_grants = [&](GatherUnit& gather, std::uint32_t responder_group) {
-    const SimTime now = sim_.now();
-    for (const auto& g : p.grants) {
-      if (gather.expired_dead.contains(g.tx_hash)) {
-        answer_dead_grant(gather, responder_group, node, g);
-        continue;
-      }
-      gather.on_grant(g, now);
+  const SimTime now = sim_.now();
+  for (const auto& g : p.grants) {
+    if (sink.gather.expired_dead.contains(g.tx_hash)) {
+      answer_dead_grant(sink.gather, site, node, g);
+      continue;
     }
-  };
-
-  switch (config_.pipeline) {
-    case Pipeline::kFull: {
-      // Delivered inside the execution channel; ingest once per batch.
-      ChannelEngine& ch = *channels_[asg.channel.value];
-      if (ch.grant_dedup.contains(key)) return;
-      if (try_park_for_pooled_verify(node, msg, channel_tag(asg.channel),
-                                     grant_park_key(key), p.cert))
-        return;
-      if (!verify_relay_cert(p.cert, /*channel_group=*/false, p.source.value)) return;
-      ch.grant_dedup.insert(key);
-      ingest_grants(ch.gather, ch.id.value);
-      break;
-    }
-    case Pipeline::kNoLattice: {
-      // Arrived via client relay at the execution shard's contact node.
-      ShardEngine& eng = *shards_[asg.shard.value];
-      if (eng.grant_dedup.contains(key)) return;
-      if (try_park_for_pooled_verify(node, msg, shard_tag(asg.shard),
-                                     grant_park_key(key), p.cert))
-        return;
-      if (!verify_relay_cert(p.cert, /*channel_group=*/false, p.source.value)) return;
-      eng.grant_dedup.insert(key);
-      ingest_grants(eng.gather, eng.id.value);
-      break;
-    }
-    case Pipeline::kNoGlobalLogic: {
-      // Leg 1 lands on all channel members; only nodes of the target shard
-      // ingest, and subgroup(relay_target, channel) rebroadcasts (leg 2).
-      if (asg.shard.value != p.relay_target.value) return;
-      ShardEngine& eng = *shards_[asg.shard.value];
-      if (p.hops > 0) {
-        auto fp = std::make_shared<GrantBatchPayload>(p);
-        fp->hops = 0;
-        sim::Message fwd = msg;
-        fwd.payload = std::move(fp);
-        net_.broadcast(sim::BroadcastKind::kRelay, node, lattice_->shard_members(asg.shard),
-                       relay_rumor_id(fwd), fwd, sim::TrafficClass::kIntraShard);
-      }
-      if (eng.grant_dedup.contains(key)) return;
-      if (try_park_for_pooled_verify(node, msg, shard_tag(asg.shard),
-                                     grant_park_key(key), p.cert))
-        return;
-      if (!verify_relay_cert(p.cert, /*channel_group=*/false, p.source.value)) return;
-      eng.grant_dedup.insert(key);
-      ingest_grants(eng.gather, eng.id.value);
-      break;
-    }
+    sink.gather.on_grant(g, now);
   }
 }
 
@@ -965,22 +1046,18 @@ void JengaSystem::answer_dead_grant(GatherUnit& gather, std::uint32_t responder_
       grant.tx_hash.prefix_u64() ^ (0x9E3779B9ULL * (grant.source.value + 1));
   const std::uint64_t key = splitmix64(key_state);
   if (!gather.late_abort_sent.insert(key).second) return;  // answered already
-  auto rp = std::make_shared<ResultBatchPayload>();
-  rp->source = ChannelId{responder_group};
+  ResultBatchPayload batch;
+  batch.source = ChannelId{responder_group};
   // Synthetic batch height outside the real consensus-height space, so the
   // shard-side result dedup never collides with a real (source, height) pair.
-  rp->channel_height = (1ULL << 40) + gather.late_abort_seq++;
-  rp->epoch = epoch_;
-  rp->target = grant.source;
+  batch.channel_height = (1ULL << 40) + gather.late_abort_seq++;
+  batch.epoch = epoch_;
+  batch.target = grant.source;
   ExecResult r;
   r.tx_hash = grant.tx_hash;
   r.ok = false;
-  rp->results.push_back(std::move(r));
-  sim::Message m;
-  m.type = sim::MsgType::kExecResult;
-  m.from = node;
-  m.size_bytes = rp->wire_size();
-  m.payload = std::move(rp);
+  batch.results.push_back(std::move(r));
+  const sim::Message m = result_message(node, std::move(batch), /*hops=*/0);
   relay_gossip(node, lattice_->shard_members(grant.source), m);
   if (lattice_->assignment(node).shard == grant.source) on_node_message(node, m);
 }
@@ -991,23 +1068,13 @@ void JengaSystem::handle_result_batch(NodeId node, const sim::Message& msg) {
   const Assignment asg = lattice_->assignment(node);
   if (asg.shard != p.target) return;  // channel witnesses just observe
   ShardEngine& eng = *shards_[asg.shard.value];
-  if (p.hops > 0) {
-    // Member of subgroup(target, channel): rebroadcast inside the shard.
-    auto fp = std::make_shared<ResultBatchPayload>(p);
-    fp->hops = 0;
-    sim::Message fwd = msg;
-    fwd.payload = std::move(fp);
-    net_.broadcast(sim::BroadcastKind::kRelay, node, lattice_->shard_members(p.target),
-                   relay_rumor_id(fwd), fwd, sim::TrafficClass::kIntraShard);
-  }
-  std::uint64_t key = 0x9E3779B97F4A7C15ULL * (p.source.value + 1) +
-                      0xC2B2AE3D27D4EB4FULL * (p.target.value + 1) + p.channel_height;
-  key = splitmix64(key);
+  if (p.hops > 0) relay_into_shard(net_, *lattice_, node, p.target, msg, p);
+  const std::uint64_t key = result_key(p);
   if (eng.result_dedup.contains(key)) return;
   if (try_park_for_pooled_verify(node, msg, shard_tag(asg.shard), key, p.cert)) return;
   // Results are certified by the group that decided them: the channel in the
   // full pipeline, a state shard otherwise.
-  if (!verify_relay_cert(p.cert, config_.pipeline == Pipeline::kFull, p.source.value)) return;
+  if (!verify_relay_cert(p.cert, sites_are_channels(), p.source.value)) return;
   eng.result_dedup.insert(key);
   for (const auto& r : p.results) {
     CommitItem item;
@@ -1049,13 +1116,20 @@ void JengaSystem::send_two_pc(NodeId from, ShardId dest, const sim::Message& msg
           break;
         }
       const NodeId backup = members[(slot + 1) % members.size()];
-      ++recovery_stats_.hedged_sends;
-      if (telemetry_ != nullptr)
-        telemetry_->registry.counter("recovery.hedged_sends").inc();
+      count(recovery_stats_.hedged_sends, "recovery.hedged_sends");
       net_.send(from, backup, msg, sim::TrafficClass::kCrossShard);
     }
   }
   net_.send(from, primary, msg, sim::TrafficClass::kCrossShard);
+}
+
+ShardId JengaSystem::two_pc_shard(const Transaction& tx, bool commit) const {
+  return ledger::shard_of_account(commit ? tx.sender : tx.to, config_.num_shards);
+}
+
+void JengaSystem::emit_two_pc(NodeId from, const TxPtr& tx, bool commit, TwoPcPayload::Op op,
+                              std::uint32_t attempt) {
+  send_two_pc(from, two_pc_shard(*tx, commit), two_pc_message(from, tx, commit, op, attempt));
 }
 
 void JengaSystem::handle_two_pc(NodeId node, const sim::Message& msg) {
@@ -1065,9 +1139,7 @@ void JengaSystem::handle_two_pc(NodeId node, const sim::Message& msg) {
   // debited the sender), but a reshuffle can move the contact the leg was
   // addressed to; forward it to a current member of the shard that must
   // process this stage.  Normal operation never takes this hop.
-  const ShardId want = p.commit
-                           ? ledger::shard_of_account(p.tx->sender, config_.num_shards)
-                           : ledger::shard_of_account(p.tx->to, config_.num_shards);
+  const ShardId want = two_pc_shard(*p.tx, p.commit);
   if (asg.shard != want) {
     send_two_pc(node, want, msg);
     return;
@@ -1091,21 +1163,8 @@ void JengaSystem::handle_two_pc_recovery(NodeId node, const sim::Message& msg) {
   ShardEngine& eng = *shards_[asg.shard.value];
   using Op = TwoPcPayload::Op;
   const Hash256& h = p.tx->hash;
-  const ShardId sender_shard = ledger::shard_of_account(p.tx->sender, config_.num_shards);
-
-  auto reply = [&](Op op) {
-    auto pp = std::make_shared<TwoPcPayload>();
-    pp->tx = p.tx;
-    pp->commit = true;  // routes to the coordinator's (sender) shard
-    pp->op = op;
-    pp->attempt = p.attempt;
-    sim::Message m;
-    m.type = sim::MsgType::kTwoPcCommit;
-    m.from = node;
-    m.size_bytes = 160;
-    m.payload = std::move(pp);
-    send_two_pc(node, sender_shard, m);
-  };
+  // Replies travel as commit legs: to the coordinator's (sender) shard.
+  auto reply = [&](Op op) { emit_two_pc(node, p.tx, /*commit=*/true, op, p.attempt); };
 
   switch (p.op) {
     case Op::kProbe: {
@@ -1146,9 +1205,7 @@ void JengaSystem::handle_two_pc_recovery(NodeId node, const sim::Message& msg) {
       const Hash256 dk = twopc_key("2pc-c", h, p.attempt);
       if (eng.seen_client.contains(dk)) break;
       eng.seen_client.insert(dk);
-      ++recovery_stats_.acks_recovered;
-      if (telemetry_ != nullptr)
-        telemetry_->registry.counter("recovery.acks_recovered").inc();
+      count(recovery_stats_.acks_recovered, "recovery.acks_recovered");
       eng.transfers.push_back(TransferItem{p.tx, 2, p.attempt});
       break;
     }
@@ -1203,15 +1260,12 @@ std::vector<std::pair<TxPtr, ExecResult>> JengaSystem::run_gathered_batch(
     }
     const Transaction& tx = *pending.tx;
 
-    // Fee prologue: charge the declared sender inside the bundle.  The
-    // pending entry keeps its gathered copy (re-proposals re-execute).
+    // The pending entry keeps its gathered copy (re-proposals re-execute).
     PortableState input = pending.gathered;
-    auto fee_it = input.balances.find(tx.sender);
-    if (fee_it == input.balances.end() || fee_it->second < tx.fee) {
+    if (!deduct_fee(input, tx)) {
       result.ok = false;
       continue;
     }
-    fee_it->second -= tx.fee;
 
     exec::Task task;
     task.id = tx.hash;
@@ -1289,8 +1343,7 @@ std::optional<consensus::ConsensusValue> JengaSystem::shard_propose(ShardEngine&
   // simulations still drain (run_until_idle), yet any inflight 2PC round is
   // re-examined at least once per consensus round.
   twopc_watchdog_scan();
-  if (config_.pipeline != Pipeline::kFull)
-    eng.gather.expire(sim_.now(), config_.pending_timeout);
+  if (!sites_are_channels()) eng.gather.expire(sim_.now(), config_.pending_timeout);
 
   if (config_.pipeline == Pipeline::kNoGlobalLogic) {
     // Fully gathered transactions start their multi-round execution here
@@ -1302,13 +1355,8 @@ std::optional<consensus::ConsensusValue> JengaSystem::shard_propose(ShardEngine&
       auto it = eng.gather.pending.find(h);
       if (it == eng.gather.pending.end()) continue;
       if (!it->second.tx) {
-        // Expired with the tx never seen: fan an abort to the shards that
-        // granted (recorded sorted for determinism) via the decision.
-        std::vector<std::uint32_t> sources(it->second.reported.begin(),
-                                           it->second.reported.end());
-        std::sort(sources.begin(), sources.end());
-        eng.dead_gathers.emplace_back(h, std::move(sources));
-        eng.gather.finish_dead(h);
+        // Expired with the tx never seen: the decision fans an abort out.
+        eng.dead_gathers.emplace_back(h, eng.gather.finish_dead(h));
         continue;
       }
       eng.visits.push_back(
@@ -1389,10 +1437,9 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
   const auto* payload = dynamic_cast<const ShardBlockPayload*>(value.data.get());
   if (payload == nullptr) return;
 
-  if (height >= eng.next_process_height) {
-    eng.next_process_height = height + 1;
+  if (eng.first_decide(height)) {
     const SimTime now = sim_.now();
-    ShardEngine::Outcome outcome;
+    GroupEngine::Relays relays;  // what subgroup members rebroadcast into channels
 
     // --- Phase 1: state determination ----------------------------------
     // Group grants by the destination that must receive them.
@@ -1456,21 +1503,7 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
         telemetry_->tracer.phase_event(tx->hash, telemetry::Phase::kStateLock,
                                        eng.id.value, now);
 
-      std::uint32_t dest = 0;
-      switch (config_.pipeline) {
-        case Pipeline::kFull:
-          dest = ledger::channel_of_tx(tx->hash, config_.num_shards).value;
-          break;
-        case Pipeline::kNoLattice:
-          dest = static_cast<std::uint32_t>(tx->hash.prefix_u64() % config_.num_shards);
-          break;
-        case Pipeline::kNoGlobalLogic:
-          dest = ledger::shard_of_contract(tx->contracts[tx->steps.front().contract_slot],
-                                           config_.num_shards)
-                     .value;
-          break;
-      }
-      auto& batch = batches[dest];
+      auto& batch = batches[exec_site(*tx)];
       batch.source = eng.id;
       batch.shard_height = height;
       batch.epoch = epoch_;
@@ -1479,49 +1512,32 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
     }
 
     for (auto& [dest, batch] : batches) {
+      if (!sites_are_channels() && dest == eng.id.value) {
+        // The execution site is this very shard: ingest locally.
+        for (const auto& g : batch.grants) eng.gather.on_grant(g, now);
+        continue;
+      }
       auto bp = std::make_shared<GrantBatchPayload>(std::move(batch));
       sim::Message msg;
       msg.type = sim::MsgType::kStateGrant;
       msg.from = node;
       msg.size_bytes = bp->wire_size();
-      switch (config_.pipeline) {
-        case Pipeline::kFull:
-          msg.payload = std::move(bp);
-          outcome.to_channels.emplace_back(ChannelId{dest}, std::move(msg));
-          break;
-        case Pipeline::kNoLattice:
-          msg.payload = std::move(bp);
-          if (ShardId{dest} == eng.id) {
-            // The execution site is this very shard: ingest locally.
-            for (const auto& g :
-                 sim::payload_as<GrantBatchPayload>(msg).grants)
-              eng.gather.on_grant(g, now);
-          } else {
-            net_.send_via_relay(node, shard_contact(ShardId{dest}), msg,
-                                sim::TrafficClass::kCrossShard);
-          }
-          break;
-        case Pipeline::kNoGlobalLogic: {
-          bp->relay_target = ShardId{dest};
-          bp->hops = 1;
-          msg.payload = std::move(bp);
-          if (ShardId{dest} == eng.id) {
-            for (const auto& g : sim::payload_as<GrantBatchPayload>(msg).grants)
-              eng.gather.on_grant(g, now);
-          } else {
-            // Travel via the subgroup into each tx's channel.  All grants in
-            // one batch share the same first shard; their channels can
-            // differ, so route per grant's tx channel — use the first one
-            // (batches are per destination shard; channel relaying only
-            // needs SOME channel that overlaps both shards, and every
-            // channel does).  Pick the batch's canonical relay channel from
-            // the destination shard id for determinism.
-            const ChannelId via{dest % config_.num_shards};
-            outcome.to_channels.emplace_back(via, std::move(msg));
-          }
-          break;
-        }
+      if (config_.pipeline == Pipeline::kNoLattice) {
+        msg.payload = std::move(bp);
+        net_.send_via_relay(node, shard_contact(ShardId{dest}), msg,
+                            sim::TrafficClass::kCrossShard);
+        continue;
       }
+      if (config_.pipeline == Pipeline::kNoGlobalLogic) {
+        // Travel via a subgroup into a channel, then into the destination
+        // shard.  Relaying only needs SOME channel that overlaps both shards,
+        // and every channel does; the one with the destination shard's id is
+        // the canonical pick.
+        bp->relay_target = ShardId{dest};
+        bp->hops = 1;
+      }
+      msg.payload = std::move(bp);
+      relays.emplace_back(dest, std::move(msg));  // kFull: the tx's own channel
     }
 
     // --- Phase 3: commits ----------------------------------------------
@@ -1560,10 +1576,7 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
         if (eng.locks.account_locked(tx.sender)) {
           eng.deferred_abort_fees.emplace_back(tx.sender, tx.fee);
         } else {
-          const std::uint64_t bal = eng.store.balance(tx.sender).value_or(0);
-          const std::uint64_t charge = std::min(bal, tx.fee);
-          eng.store.set_balance(tx.sender, bal - charge);
-          stats_.fees_charged += charge;
+          charge_fee(eng, tx.sender, tx.fee);
         }
       }
       tx_shard_finished(tx.hash, item.ok);
@@ -1578,10 +1591,7 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
         eng.deferred_abort_fees.emplace_back(acct, fee);
         continue;
       }
-      const std::uint64_t bal = eng.store.balance(acct).value_or(0);
-      const std::uint64_t charge = std::min(bal, fee);
-      eng.store.set_balance(acct, bal - charge);
-      stats_.fees_charged += charge;
+      charge_fee(eng, acct, fee);
     }
 
     // --- Transfers (traditional 2PC path, §V-D) -------------------------
@@ -1631,16 +1641,7 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
             ent.coordinator = node;
             ent.tx = item.tx;
             twopc_inflight_.insert_or_assign(tx.hash, std::move(ent));
-            auto pp = std::make_shared<TwoPcPayload>();
-            pp->tx = item.tx;
-            pp->commit = false;
-            pp->attempt = item.attempt;
-            sim::Message m;
-            m.type = sim::MsgType::kTwoPcPrepare;
-            m.from = node;
-            m.size_bytes = ledger::kTxWireBytes + 96;
-            m.payload = std::move(pp);
-            send_two_pc(node, dest, m);
+            emit_two_pc(node, item.tx, /*commit=*/false, TwoPcPayload::Op::kLeg, item.attempt);
           }
           break;
         }
@@ -1658,16 +1659,7 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
           committed.push_back(tx.hash);
           body_bytes += tx.wire_size();
           tx_shard_finished(tx.hash, true);
-          auto pp = std::make_shared<TwoPcPayload>();
-          pp->tx = item.tx;
-          pp->commit = true;
-          pp->attempt = item.attempt;
-          sim::Message m;
-          m.type = sim::MsgType::kTwoPcCommit;
-          m.from = node;
-          m.size_bytes = 160;
-          m.payload = std::move(pp);
-          send_two_pc(node, ledger::shard_of_account(tx.sender, config_.num_shards), m);
+          emit_two_pc(node, item.tx, /*commit=*/true, TwoPcPayload::Op::kLeg, item.attempt);
           break;
         }
         case 2: {  // finalize at the sender's shard after the ack
@@ -1697,20 +1689,16 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
           }
           eng.store.set_balance(tx.sender,
                                 eng.store.balance(tx.sender).value_or(0) + tx.amount);
-          ++recovery_stats_.refunds;
-          if (telemetry_ != nullptr) telemetry_->registry.counter("recovery.refunds").inc();
-          if (item.attempt + 1 < config_.recovery.max_attempts) {
-            ++recovery_stats_.retries;
-            if (telemetry_ != nullptr)
-              telemetry_->registry.counter("recovery.retries").inc();
+          count(recovery_stats_.refunds, "recovery.refunds");
+          if (item.attempt + 1 < kMaxAttempts) {
+            count(recovery_stats_.retries, "recovery.retries");
+            retry_attempts_[tx.hash] = item.attempt + 1;  // survives an epoch requeue
             eng.transfers.push_back(TransferItem{item.tx, 0, item.attempt + 1});
           } else {
             // Retry budget exhausted: terminally abort.  No shard ever
             // counted this tx finished (credited attempts resolve via
             // kCredited, never via refund), so both votes are cast here.
-            ++recovery_stats_.terminal_aborts;
-            if (telemetry_ != nullptr)
-              telemetry_->registry.counter("recovery.terminal_aborts").inc();
+            count(recovery_stats_.terminal_aborts, "recovery.terminal_aborts");
             tx_shard_finished(tx.hash, false);
             tx_shard_finished(tx.hash, false);
           }
@@ -1721,37 +1709,12 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
       }
     }
 
-    // Execution results produced by this decision, batched per target shard
-    // so each (decision, target) pair is exactly one message.
-    std::map<std::uint32_t, ResultBatchPayload> result_batches;
-    auto add_result_to = [&](ShardId target, const ExecResult& result) {
-      auto& batch = result_batches[target.value];
-      batch.source = ChannelId{eng.id.value};
-      batch.channel_height = height;
-      batch.epoch = epoch_;
-      batch.target = target;
-      batch.cert = cert;
-      batch.results.push_back(result);
-    };
-    auto add_result = [&](const Transaction& tx, const ExecResult& result) {
-      for (ShardId target : involved_shards(tx)) add_result_to(target, result);
-    };
+    // Execution results produced by this decision (kNoLattice and
+    // kNoGlobalLogic, where state shards double as execution sites).
+    ResultBatches results{ChannelId{eng.id.value}, height, epoch_, cert, {}};
 
     // --- Dead gather entries (kNoGlobalLogic) ----------------------------
-    // Expired with the tx never seen here.  Abort to every involved shard
-    // (the granting ones release their Phase-1 locks, the rest settle their
-    // tracker share); the submit-time registry still knows the tx.  Fall back
-    // to the recorded granting shards if it has already fully settled.
-    for (const auto& [h, sources] : payload->dead_gathers) {
-      ExecResult r;
-      r.tx_hash = h;
-      r.ok = false;
-      if (const TxPtr tracked = tracked_tx(h)) {
-        add_result(*tracked, r);
-      } else {
-        for (const std::uint32_t s : sources) add_result_to(ShardId{s}, r);
-      }
-    }
+    for (const auto& [h, sources] : payload->dead_gathers) add_dead_abort(results, h, sources);
 
     // --- Multi-round execution visits (kNoGlobalLogic) ------------------
     // Runs the run of consecutive steps homed on this shard, then either
@@ -1767,14 +1730,7 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
       PortableState gathered = visit.gathered;
       bool ok = !visit.aborted;
 
-      if (ok && visit.next_step == 0) {  // fee prologue on the first visit
-        auto fee_it = gathered.balances.find(tx.sender);
-        if (fee_it == gathered.balances.end() || fee_it->second < tx.fee) {
-          ok = false;
-        } else {
-          fee_it->second -= tx.fee;
-        }
-      }
+      if (ok && visit.next_step == 0) ok = deduct_fee(gathered, tx);  // on the first visit
 
       std::uint32_t step = visit.next_step;
       if (ok) {
@@ -1808,7 +1764,7 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
         result.tx_hash = tx.hash;
         result.ok = success;
         if (success) result.per_shard_updates = split_per_shard(std::move(gathered));
-        add_result(tx, result);
+        results.add(involved_shards(tx), result);
       };
 
       if (!ok) {
@@ -1832,67 +1788,38 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
       m.from = node;
       m.size_bytes = cp->wire_size();
       m.payload = std::move(cp);
-      outcome.to_channels.emplace_back(via, std::move(m));
+      relays.emplace_back(via.value, std::move(m));
     };
     for (const ExecVisit& visit : payload->visits) process_visit(visit);
 
     // --- Execution entries (kNoLattice) ---------------------------------
     for (const auto& [tx, result] : payload->exec_entries) {
-      // Retire the gathered entry.  For entries whose tx never arrived, fan
-      // the abort to every shard that granted (their Phase-1 locks must
-      // release); record the hash so late grants still get an answer.
+      // Retire the gathered entry; one whose tx never arrived fans an abort.
       if (!eng.gather.ready.empty()) eng.gather.ready.pop_front();
-      std::vector<std::uint32_t> sources;
-      if (!tx) {
-        if (const auto pit = eng.gather.pending.find(result.tx_hash);
-            pit != eng.gather.pending.end()) {
-          sources.assign(pit->second.reported.begin(), pit->second.reported.end());
-          std::sort(sources.begin(), sources.end());
-        }
-        eng.gather.finish_dead(result.tx_hash);
-      } else {
-        eng.gather.finish(result.tx_hash);
-      }
       if (telemetry_ != nullptr)
         telemetry_->tracer.phase_event(result.tx_hash, telemetry::Phase::kExecute,
                                        eng.id.value, now);
-      if (!tx) {
-        ExecResult abort_r;
-        abort_r.tx_hash = result.tx_hash;
-        abort_r.ok = false;
-        if (const TxPtr tracked = tracked_tx(result.tx_hash)) {
-          add_result(*tracked, abort_r);  // every involved shard settles
-        } else {
-          for (const std::uint32_t s : sources) add_result_to(ShardId{s}, abort_r);
-        }
-        continue;
+      if (tx) {
+        eng.gather.finish(result.tx_hash);
+        results.add(involved_shards(*tx), result);
+      } else {
+        add_dead_abort(results, result.tx_hash, eng.gather.finish_dead(result.tx_hash));
       }
-      add_result(*tx, result);
     }
 
     // --- Ship the batched execution results -----------------------------
-    for (auto& [target_value, batch] : result_batches) {
+    for (auto& [target_value, batch] : results.by_target) {
       const ShardId target{target_value};
-      auto rp = std::make_shared<ResultBatchPayload>(std::move(batch));
-      sim::Message m;
-      m.type = sim::MsgType::kExecResult;
-      m.from = node;
-      m.size_bytes = rp->wire_size();
       if (target == eng.id) {
         // Local commits: the updates already travelled inside this shard's
         // own consensus block; ingest directly.
-        rp->hops = 0;
-        m.payload = std::move(rp);
-        handle_result_batch(node, m);
+        handle_result_batch(node, result_message(node, std::move(batch), /*hops=*/0));
       } else if (config_.pipeline == Pipeline::kNoLattice) {
-        rp->hops = 0;
-        m.payload = std::move(rp);
-        net_.send_via_relay(node, shard_contact(target), m, sim::TrafficClass::kCrossShard);
-      } else {  // kNoGlobalLogic: relay through a channel's subgroups
-        rp->hops = 1;
-        m.payload = std::move(rp);
-        outcome.to_channels.emplace_back(ChannelId{target_value % config_.num_shards},
-                                         std::move(m));
+        net_.send_via_relay(node, shard_contact(target),
+                            result_message(node, std::move(batch), /*hops=*/0),
+                            sim::TrafficClass::kCrossShard);
+      } else {  // kNoGlobalLogic: relay through the target-id channel's subgroups
+        relays.emplace_back(target_value, result_message(node, std::move(batch), /*hops=*/1));
       }
     }
 
@@ -1913,29 +1840,37 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
     // the backend gets one commit record + fsync for the whole batch.
     eng.store.commit();
 
-    eng.outcomes[height] = std::move(outcome);
-    eng.outcomes.erase(height >= 64 ? height - 64 : UINT64_MAX);
+    eng.store_outcome(height, std::move(relays));
   }
 
   // Per-node forwarding duty: subgroup members rebroadcast into channels.
+  forward_outcome(node, eng, height, /*into_channels=*/true);
+}
+
+void JengaSystem::forward_outcome(NodeId node, const GroupEngine& eng, std::uint64_t height,
+                                  bool into_channels) {
   const auto it = eng.outcomes.find(height);
   if (it == eng.outcomes.end()) return;
   const Assignment asg = lattice_->assignment(node);
-  for (const auto& [ch, msg] : it->second.to_channels) {
-    if (asg.channel != ch) continue;
+  const std::uint32_t own_group = into_channels ? asg.channel.value : asg.shard.value;
+  for (const auto& [group, msg] : it->second) {
+    if (group != own_group) continue;
+    const std::vector<NodeId>& members = into_channels
+                                             ? lattice_->channel_members(ChannelId{group})
+                                             : lattice_->shard_members(ShardId{group});
     sim::Message copy = msg;
     copy.from = node;
     if (batcher_ != nullptr) {
-      // Rumor mode: coalesce every relay this node owes the channel within
-      // one aligned window into a single framed rumor (one spread, one
-      // pooled certificate verification on each receiver).
-      batcher_->enqueue(node, lattice_->channel_members(ch), relay_rumor_id(copy), copy,
+      // Rumor mode: coalesce every relay this node owes the group within one
+      // aligned window into a single framed rumor (one spread, one pooled
+      // certificate verification on each receiver).
+      batcher_->enqueue(node, members, relay_rumor_id(copy), copy,
                         sim::TrafficClass::kIntraShard);
     } else {
       // Gossip rather than unicast-to-all: batches carry whole contract
       // states, and a fanout tree spreads the serialization load across the
-      // channel instead of saturating each subgroup member's uplink.
-      relay_gossip(node, lattice_->channel_members(ch), copy);
+      // group instead of saturating each subgroup member's uplink.
+      relay_gossip(node, members, copy);
       on_node_message(node, copy);  // local ingest (dissemination skips self)
     }
   }
@@ -1975,82 +1910,44 @@ void JengaSystem::channel_decide(ChannelEngine& eng, NodeId node, std::uint64_t 
   const auto* payload = dynamic_cast<const ChannelBlockPayload*>(value.data.get());
   if (payload == nullptr) return;
 
-  if (height >= eng.next_process_height) {
-    eng.next_process_height = height + 1;
+  if (eng.first_decide(height)) {
     const SimTime now = sim_.now();
-    ChannelEngine::Outcome outcome;
-
-    // Group results per target shard.
-    std::map<std::uint32_t, ResultBatchPayload> batches;
-    auto add_to = [&](ShardId target, const ExecResult& result) {
-      auto& batch = batches[target.value];
-      batch.source = eng.id;
-      batch.channel_height = height;
-      batch.epoch = epoch_;
-      batch.target = target;
-      batch.cert = cert;
-      batch.results.push_back(result);
-    };
+    ResultBatches results{eng.id, height, epoch_, cert, {}};
     for (const auto& [tx, result] : payload->entries) {
       if (!eng.gather.ready.empty()) eng.gather.ready.pop_front();
       if (!tx) {
         // Expired with the tx never seen (a crashed contact swallowed the
-        // client copy): fan the abort back to every shard that granted so
-        // their Phase-1 locks release, and remember the hash so grants that
-        // arrive even later still get an answer.
-        std::vector<std::uint32_t> sources;
-        if (const auto pit = eng.gather.pending.find(result.tx_hash);
-            pit != eng.gather.pending.end()) {
-          sources.assign(pit->second.reported.begin(), pit->second.reported.end());
-          std::sort(sources.begin(), sources.end());
-        }
-        eng.gather.finish_dead(result.tx_hash);
-        ExecResult abort_r;
-        abort_r.tx_hash = result.tx_hash;
-        abort_r.ok = false;
-        if (const TxPtr tracked = tracked_tx(result.tx_hash)) {
-          // Every involved shard settles, not just the ones that granted.
-          for (ShardId target : involved_shards(*tracked)) add_to(target, abort_r);
-        } else {
-          for (const std::uint32_t s : sources) add_to(ShardId{s}, abort_r);
-        }
+        // client copy); the hash stays remembered so grants that arrive even
+        // later still get an answer.
+        add_dead_abort(results, result.tx_hash, eng.gather.finish_dead(result.tx_hash));
         continue;
       }
       eng.gather.finish(result.tx_hash);
       if (telemetry_ != nullptr)
         telemetry_->tracer.phase_event(result.tx_hash, telemetry::Phase::kExecute,
                                        eng.id.value, now);
-      for (ShardId target : involved_shards(*tx)) add_to(target, result);
+      results.add(involved_shards(*tx), result);
     }
-    for (auto& [target, batch] : batches) {
-      auto rp = std::make_shared<ResultBatchPayload>(std::move(batch));
-      sim::Message m;
-      m.type = sim::MsgType::kExecResult;
-      m.from = node;
-      m.size_bytes = rp->wire_size();
-      m.payload = std::move(rp);
-      outcome.to_shards.emplace_back(ShardId{target}, std::move(m));
-    }
-    eng.outcomes[height] = std::move(outcome);
-    eng.outcomes.erase(height >= 64 ? height - 64 : UINT64_MAX);
+    GroupEngine::Relays relays;  // what subgroup members relay into shards
+    for (auto& [target, batch] : results.by_target)
+      relays.emplace_back(target, result_message(node, std::move(batch), /*hops=*/0));
+    eng.store_outcome(height, std::move(relays));
   }
 
   // Forwarding duty: a channel node whose state shard is a target relays the
   // certified results into its shard.
-  const auto it = eng.outcomes.find(height);
-  if (it == eng.outcomes.end()) return;
-  const Assignment asg = lattice_->assignment(node);
-  for (const auto& [shard, msg] : it->second.to_shards) {
-    if (asg.shard != shard) continue;
-    sim::Message copy = msg;
-    copy.from = node;
-    if (batcher_ != nullptr) {
-      batcher_->enqueue(node, lattice_->shard_members(shard), relay_rumor_id(copy), copy,
-                        sim::TrafficClass::kIntraShard);
-    } else {
-      relay_gossip(node, lattice_->shard_members(shard), copy);
-      on_node_message(node, copy);
-    }
+  forward_outcome(node, eng, height, /*into_channels=*/false);
+}
+
+void JengaSystem::add_dead_abort(ResultBatches& out, const Hash256& h,
+                                 const std::vector<std::uint32_t>& sources) const {
+  ExecResult abort_r;
+  abort_r.tx_hash = h;
+  abort_r.ok = false;
+  if (const TxPtr tracked = tracked_tx(h)) {
+    out.add(involved_shards(*tracked), abort_r);
+  } else {
+    for (const std::uint32_t s : sources) out.add(ShardId{s}, abort_r);
   }
 }
 
@@ -2062,8 +1959,8 @@ void JengaSystem::schedule_epoch_cycle() {
   if (config_.epoch_interval <= 0 || epoch_mgr_ == nullptr) return;
   const std::uint64_t target = epoch_ + 1;
   const SimTime cutover_at = sim_.now() + config_.epoch_interval;
-  const SimTime beacon_at = std::max(sim_.now(), cutover_at - config_.epoch_beacon_lead);
-  const SimTime drain_at = std::max(sim_.now(), cutover_at - config_.epoch_drain_window);
+  const SimTime beacon_at = std::max(sim_.now(), cutover_at - kEpochBeaconLead);
+  const SimTime drain_at = std::max(sim_.now(), cutover_at - kEpochDrainWindow);
   sim_.schedule_at(beacon_at, [this, target] { start_beacon_round(target); });
   sim_.schedule_at(drain_at, [this, target] { begin_drain(target); });
   sim_.schedule_at(cutover_at, [this, target] { try_cutover(target); });
@@ -2104,13 +2001,9 @@ void JengaSystem::handle_epoch_contribution(const sim::Message& msg) {
   // copies without paying a VRF verification or miscounting a rejection.
   if (epoch_mgr_->has_contribution(p.contribution.node)) return;
   if (epoch_mgr_->accept(p.contribution, EpochId{p.epoch})) {
-    ++epoch_stats_.contributions_accepted;
-    if (telemetry_ != nullptr)
-      telemetry_->registry.counter("epoch.contributions_accepted").inc();
+    count(epoch_stats_.contributions_accepted, "epoch.contributions_accepted");
   } else {
-    ++epoch_stats_.contributions_rejected;
-    if (telemetry_ != nullptr)
-      telemetry_->registry.counter("epoch.contributions_rejected").inc();
+    count(epoch_stats_.contributions_rejected, "epoch.contributions_rejected");
   }
 }
 
@@ -2123,8 +2016,16 @@ void JengaSystem::begin_drain(std::uint64_t target_epoch) {
 
 void JengaSystem::try_cutover(std::uint64_t target_epoch) {
   if (epoch_mgr_ == nullptr || epoch_ + 1 != target_epoch) return;
-  bool ready =
-      epoch_mgr_->contributions() >= min_contributions() && twopc_inflight_.empty();
+  // A refund queued by a force-abort must apply before the cutover clears
+  // the transfer queues; the debit it returns would be lost otherwise.
+  const auto refund_queued = [this] {
+    for (const auto& s : shards_)
+      for (const TransferItem& item : s->transfers)
+        if (item.stage == 3) return true;
+    return false;
+  };
+  bool ready = epoch_mgr_->contributions() >= min_contributions() &&
+               twopc_inflight_.empty() && !refund_queued();
   if (ready) {
     // No tx may straddle the boundary with a partially-applied outcome: some
     // shards have applied its commit/abort while others still wait, and a
@@ -2144,8 +2045,7 @@ void JengaSystem::try_cutover(std::uint64_t target_epoch) {
     }
   }
   if (!ready) {
-    ++epoch_stats_.postponements;
-    if (telemetry_ != nullptr) telemetry_->registry.counter("epoch.postponements").inc();
+    count(epoch_stats_.postponements, "epoch.postponements");
     sim_.schedule_after(500 * kMillisecond,
                         [this, target_epoch] { try_cutover(target_epoch); });
     return;
@@ -2227,33 +2127,22 @@ void JengaSystem::perform_cutover(std::uint64_t target_epoch) {
   // 7. Reset per-epoch engine state.  Persistent: store, chain, locks (empty
   //    after the sweep), seen_client, finished, deferred fees.  Epoch-scoped:
   //    mempools, gathers, dedup keyed by restarting heights, outcome caches.
-  telemetry::PhaseTracer* tracer = telemetry_ == nullptr ? nullptr : &telemetry_->tracer;
   for (auto& s : shards_) {
+    s->reset_epoch();
     s->determine.clear();
     s->commits.clear();
     s->transfers.clear();
     s->visits.clear();
     s->dead_gathers.clear();
-    s->gather = GatherUnit{};
-    s->gather.tracer = tracer;
-    s->gather.tracer_key = s->id.value;
-    s->grant_dedup.clear();
     s->result_dedup.clear();
     s->continuation_dedup.clear();
-    s->outcomes.clear();
-    s->next_process_height = 0;
   }
-  for (auto& c : channels_) {
-    c->gather = GatherUnit{};
-    c->gather.tracer = tracer;
-    c->gather.tracer_key = c->id.value;
-    c->grant_dedup.clear();
-    c->outcomes.clear();
-    c->next_process_height = 0;
-  }
+  for (auto& c : channels_) c->reset_epoch();
 
   // 8. Carry the mempool/tracker across: re-ingest every force-aborted tx
-  //    with its original submit timestamp and submission count intact.
+  //    with its original submit timestamp and submission count intact.  Only
+  //    transfers still in flight need their retry attempt.
+  std::erase_if(retry_attempts_, [this](const auto& e) { return !tracker_.contains(e.first); });
   for (const auto& h : requeue)
     if (const TxPtr tracked = tracked_tx(h)) reingest(tracked);
   epoch_stats_.txs_requeued += requeue.size();
@@ -2268,39 +2157,13 @@ void JengaSystem::perform_cutover(std::uint64_t target_epoch) {
 }
 
 void JengaSystem::reingest(const TxPtr& tx) {
-  const auto involved = involved_shards(*tx);
   if (const auto it = tracker_.find(tx->hash); it != tracker_.end()) {
-    it->second.shards_left = static_cast<std::uint32_t>(involved.size());
+    it->second.shards_left = static_cast<std::uint32_t>(involved_shards(*tx).size());
     it->second.aborted = false;  // the force-abort is procedural, not an outcome
   }
-  if (tx->kind == TxKind::kTransfer) {
-    const ShardId src = ledger::shard_of_account(tx->sender, config_.num_shards);
-    shards_[src.value]->transfers.push_back(TransferItem{tx, 0});
-    return;
-  }
-  const SimTime now = sim_.now();
-  // `seen_client` still holds the hash (by design — late client copies must
-  // stay deduped), so feed the mempools directly.
-  for (ShardId s : involved) shards_[s.value]->determine.push_back(DetermineItem{tx, 0});
-  switch (config_.pipeline) {
-    case Pipeline::kFull: {
-      const ChannelId target = ledger::channel_of_tx(tx->hash, config_.num_shards);
-      channels_[target.value]->gather.on_tx(tx, involved.size(), now);
-      break;
-    }
-    case Pipeline::kNoLattice: {
-      const ShardId exec{
-          static_cast<std::uint32_t>(tx->hash.prefix_u64() % config_.num_shards)};
-      shards_[exec.value]->gather.on_tx(tx, involved.size(), now);
-      break;
-    }
-    case Pipeline::kNoGlobalLogic: {
-      const ShardId first = ledger::shard_of_contract(
-          tx->contracts[tx->steps.front().contract_slot], config_.num_shards);
-      shards_[first.value]->gather.on_tx(tx, involved.size(), now);
-      break;
-    }
-  }
+  // Every group takes the tx as if its client copy arrived now.
+  for (std::uint32_t g = 0; g < config_.num_shards; ++g)
+    ingest_client_tx(tx, Assignment{ShardId{g}, ChannelId{g}}, /*requeue=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -2346,30 +2209,17 @@ void JengaSystem::twopc_watchdog_scan() {
     if (!config_.recovery.enabled || !e.tx) continue;
     const LadderAction act = ladder_next(config_.recovery, e.ladder, now);
     if (act == LadderAction::kWait) continue;
-    auto pp = std::make_shared<TwoPcPayload>();
-    pp->tx = e.tx;
-    pp->commit = false;  // routes to the destination (credit) shard
-    pp->op = act == LadderAction::kProbe ? TwoPcPayload::Op::kProbe
-                                         : TwoPcPayload::Op::kAbortQuery;
-    pp->attempt = e.attempt;
-    sim::Message m;
-    m.type = sim::MsgType::kTwoPcPrepare;
-    m.from = e.coordinator;
-    // A probe can be adopted as the prepare, so it carries the tx's weight.
-    m.size_bytes = act == LadderAction::kProbe ? ledger::kTxWireBytes + 96 : 160;
-    m.payload = std::move(pp);
     if (act == LadderAction::kProbe) {
-      ++recovery_stats_.probes_sent;
-      if (telemetry_ != nullptr) telemetry_->registry.counter("recovery.probes").inc();
+      count(recovery_stats_.probes_sent, "recovery.probes");
     } else {
-      ++recovery_stats_.abort_queries;
-      if (telemetry_ != nullptr) {
-        telemetry_->registry.counter("recovery.abort_queries").inc();
-        telemetry_->flight.trigger("twopc.force_abort", &h);
-      }
+      count(recovery_stats_.abort_queries, "recovery.abort_queries");
+      if (telemetry_ != nullptr) telemetry_->flight.trigger("twopc.force_abort", &h);
     }
-    send_two_pc(e.coordinator,
-                ledger::shard_of_account(e.tx->to, config_.num_shards), m);
+    // Prepare-side messages: they route to the destination (credit) shard.
+    emit_two_pc(e.coordinator, e.tx, /*commit=*/false,
+                act == LadderAction::kProbe ? TwoPcPayload::Op::kProbe
+                                            : TwoPcPayload::Op::kAbortQuery,
+                e.attempt);
   }
 }
 
@@ -2394,13 +2244,11 @@ const std::vector<std::uint64_t>& JengaSystem::source_public_ids(bool channel_gr
   const std::uint64_t tag =
       channel_group ? channel_tag(ChannelId{gid}) : shard_tag(ShardId{gid});
   if (const auto it = group_pubids_.find(tag); it != group_pubids_.end()) return it->second;
-  // Exactly the key schedule build_replicas() gives the group's replicas.
-  const std::uint64_t seed =
-      (config_.seed ^ ((channel_group ? 0xC4A20000ULL : 0x51ED0000ULL) + gid)) +
-      epoch_ * 0xD1B54A32D192ED03ULL;
   const std::size_t n = channel_group ? lattice_->channel_members(ChannelId{gid}).size()
                                       : lattice_->shard_members(ShardId{gid}).size();
-  return group_pubids_.emplace(tag, consensus::group_public_ids(seed, n)).first->second;
+  return group_pubids_
+      .emplace(tag, consensus::group_public_ids(vote_key_seed(channel_group, gid), n))
+      .first->second;
 }
 
 bool JengaSystem::verify_relay_cert(const consensus::QuorumCert& cert, bool channel_group,
@@ -2415,15 +2263,12 @@ bool JengaSystem::verify_relay_cert(const consensus::QuorumCert& cert, bool chan
   if (certs_preverified_) return true;  // covered by the frame's pooled pass
   const auto& ids = source_public_ids(channel_group, gid);
   ++cert_stats_.individual_checks;
-  const std::size_t quorum = 2 * ((ids.size() - 1) / 3) + 1;
   const Hash256 digest =
       consensus::vote_digest(cert.value_digest, cert.height, cert.view, /*commit_phase=*/true);
-  const bool ok = cert.sig.signers.size() == ids.size() &&
-                  cert.sig.signer_count() >= quorum &&
-                  crypto::fast_verify_multisig(ids, digest, cert.sig);
+  const bool ok =
+      cert_shape_ok(cert, ids.size()) && crypto::fast_verify_multisig(ids, digest, cert.sig);
   if (!ok) {
-    ++cert_stats_.invalid_certs;
-    if (telemetry_ != nullptr) telemetry_->registry.counter("relay.invalid_certs").inc();
+    count(cert_stats_.invalid_certs, "relay.invalid_certs");
   }
   return ok;
 }
@@ -2433,27 +2278,15 @@ bool JengaSystem::frame_item_seen(NodeId node, const sim::Message& inner) const 
   if (inner.type == sim::MsgType::kStateGrant) {
     const auto& p = sim::payload_as<GrantBatchPayload>(inner);
     if (p.epoch != epoch_) return true;  // dropped unread by the handler
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(p.source.value) << 40) ^ p.shard_height;
-    switch (config_.pipeline) {
-      case Pipeline::kFull:
-        return channels_[asg.channel.value]->grant_dedup.contains(key);
-      case Pipeline::kNoLattice:
-        return shards_[asg.shard.value]->grant_dedup.contains(key);
-      case Pipeline::kNoGlobalLogic:
-        if (asg.shard.value != p.relay_target.value) return true;  // witness only
-        return shards_[asg.shard.value]->grant_dedup.contains(key);
-    }
-    return false;
+    if (config_.pipeline == Pipeline::kNoGlobalLogic && asg.shard != p.relay_target)
+      return true;  // witness only
+    return site_engine(site_of(asg)).grant_dedup.contains(grant_key(p));
   }
   if (inner.type == sim::MsgType::kExecResult) {
     const auto& p = sim::payload_as<ResultBatchPayload>(inner);
     if (p.epoch != epoch_) return true;
     if (asg.shard != p.target) return true;  // channel witnesses just observe
-    std::uint64_t key = 0x9E3779B97F4A7C15ULL * (p.source.value + 1) +
-                        0xC2B2AE3D27D4EB4FULL * (p.target.value + 1) + p.channel_height;
-    key = splitmix64(key);
-    return shards_[asg.shard.value]->result_dedup.contains(key);
+    return shards_[asg.shard.value]->result_dedup.contains(result_key(p));
   }
   return false;
 }
@@ -2521,13 +2354,12 @@ void JengaSystem::flush_verify_pool(std::uint64_t pool_tag) {
     } else if (msg.type == sim::MsgType::kExecResult) {
       const auto& p = sim::payload_as<ResultBatchPayload>(msg);
       cert = &p.cert;
-      channel_group = config_.pipeline == Pipeline::kFull;
+      channel_group = sites_are_channels();
       gid = p.source.value;
     }
     if (cert == nullptr || cert->sig.signer_count() == 0) continue;
     const auto& ids = source_public_ids(channel_group, gid);
-    if (cert->sig.signers.size() != ids.size() ||
-        cert->sig.signer_count() < 2 * ((ids.size() - 1) / 3) + 1) {
+    if (!cert_shape_ok(*cert, ids.size())) {
       pool_ok = false;  // structurally broken: force the per-item fallback
       continue;
     }

@@ -61,8 +61,10 @@ struct BatchStats;
 
 namespace jenga::core {
 
-/// Shared state-gathering unit (defined in jenga_system.cpp).
+/// Shared state-gathering unit and a decision's per-target result batches
+/// (defined in jenga_system.cpp).
 struct GatherUnit;
+struct ResultBatches;
 
 enum class Pipeline : std::uint8_t { kFull = 0, kNoLattice, kNoGlobalLogic };
 
@@ -105,12 +107,6 @@ struct JengaConfig {
   /// 0 (default) disables reconfiguration entirely — the lattice is built
   /// once and every run is bit-identical to the pre-epoch behaviour.
   SimTime epoch_interval = 0;
-  /// Bounded drain window before each cutover: shards stop admitting new
-  /// Phase-1 work while in-flight transactions finish.
-  SimTime epoch_drain_window = 10 * kSecond;
-  /// How long before the cutover the beacon round starts (VRF contributions
-  /// gossiped as real messages; the quorum must land within this lead).
-  SimTime epoch_beacon_lead = 20 * kSecond;
 
   // --- Durable authenticated state (DESIGN.md §9) --------------------------
   StorageBackendKind storage_backend = StorageBackendKind::kNone;
@@ -283,6 +279,7 @@ class JengaSystem final : public ShardedSystem {
   [[nodiscard]] NodeId shard_leader(ShardId s) const;
 
  private:
+  struct GroupEngine;
   struct ShardEngine;
   struct ChannelEngine;
   struct ShardApp;
@@ -291,6 +288,26 @@ class JengaSystem final : public ShardedSystem {
   [[nodiscard]] std::vector<ShardId> involved_shards(const ledger::Transaction& tx) const;
   [[nodiscard]] NodeId shard_contact(ShardId s) const;
   [[nodiscard]] NodeId channel_contact(ChannelId c) const;
+  /// True when execution sites are channels (kFull); state shards double as
+  /// sites otherwise.
+  [[nodiscard]] bool sites_are_channels() const;
+  /// Where a contract tx is gathered and executed (paper §V-C): its channel
+  /// in kFull, shard H(tx) mod S in kNoLattice, its first step's home shard in
+  /// kNoGlobalLogic.  A channel id in kFull, a shard id otherwise.
+  [[nodiscard]] std::uint32_t exec_site(const ledger::Transaction& tx) const;
+  /// The site a node belongs to: its channel in kFull, its shard otherwise.
+  [[nodiscard]] std::uint32_t site_of(const Assignment& asg) const;
+  /// The engine of site `site` (it gathers grants and ingests grant batches).
+  [[nodiscard]] GroupEngine& site_engine(std::uint32_t site) const;
+  /// Sends a client tx's copies to the current contacts: the sender's shard
+  /// for a transfer; every involved shard and the execution site otherwise.
+  void send_client_copies(const ledger::Transaction& tx, const sim::Message& msg);
+  /// Ingests a client tx at the groups of `at`: queues the shard's Phase-1
+  /// work (a transfer's debit, a contract tx's state determination) once, and
+  /// hands the tx to the channel or shard that is its execution site.
+  /// `requeue` (an epoch boundary) queues the Phase-1 work again.  Returns
+  /// whether either group has a role for the tx.
+  bool ingest_client_tx(const TxPtr& tx, Assignment at, bool requeue);
   /// Epoch-salted consensus group tags: heights restart at 0 after each
   /// reshuffle, so the (tag, height) space must be disjoint across epochs.
   [[nodiscard]] std::uint64_t shard_tag(ShardId s) const;
@@ -329,6 +346,17 @@ class JengaSystem final : public ShardedSystem {
   /// Re-ingests a force-aborted transaction into the (new-epoch) mempools and
   /// gathers, preserving its tracker entry and submit timestamp.
   void reingest(const TxPtr& tx);
+  /// Adds the abort of a gather entry that expired with its tx never seen:
+  /// for every involved shard while the tracker still knows the tx (granting
+  /// shards release their Phase-1 locks, the rest settle their share), else
+  /// for the shards that granted (`sources`).
+  void add_dead_abort(ResultBatches& out, const Hash256& h,
+                      const std::vector<std::uint32_t>& sources) const;
+  /// Per-node forwarding duty for a decided `height` of `eng`: the relays
+  /// addressed to this node's channel (`into_channels`) or shard go out to
+  /// that group, batched into frames in rumor mode.
+  void forward_outcome(NodeId node, const GroupEngine& eng, std::uint64_t height,
+                       bool into_channels);
   /// Models one node's application-state recovery (crash recovery or rehome)
   /// against its shard's canonical store; updates sync_stats_ / telemetry.
   /// `use_durable_image` is false for rehomed nodes — their disk holds their
@@ -363,10 +391,15 @@ class JengaSystem final : public ShardedSystem {
   /// for certs already covered by a frame's pooled batch verification.
   [[nodiscard]] bool verify_relay_cert(const consensus::QuorumCert& cert, bool channel_group,
                                        std::uint32_t gid);
+  /// Seed of a group's vote keys under the CURRENT epoch (epoch-salted, like
+  /// the group tags).
+  [[nodiscard]] std::uint64_t vote_key_seed(bool channel_group, std::uint32_t gid) const;
   /// Cached vote-key ids of a group under the CURRENT epoch's key schedule.
   [[nodiscard]] const std::vector<std::uint64_t>& source_public_ids(bool channel_group,
                                                                     std::uint32_t gid);
   void note_decide(std::uint64_t group_tag, std::uint64_t height, const Hash256& digest);
+  /// Counts one event in `stat` and in its telemetry mirror `metric`.
+  void count(std::uint64_t& stat, const char* metric);
   /// Forwarding-duty dissemination of a certified outcome (grants into a
   /// channel, results into a shard) or a beacon contribution.  Routed per the
   /// network's transport mode for `kind` (DESIGN.md §12): under kRumor the
@@ -387,6 +420,13 @@ class JengaSystem final : public ShardedSystem {
   /// is duplicated to the deterministically-next group member (hedged send —
   /// attempt-scoped dedup makes the duplicate harmless).
   void send_two_pc(NodeId from, ShardId dest, const sim::Message& msg);
+  /// Builds a 2PC message and sends it (send_two_pc) to where it is
+  /// processed: two_pc_shard(tx, commit).
+  void emit_two_pc(NodeId from, const TxPtr& tx, bool commit, TwoPcPayload::Op op,
+                   std::uint32_t attempt);
+  /// The sender's (coordinator) shard for commit legs, the recipient's for
+  /// prepare legs.
+  [[nodiscard]] ShardId two_pc_shard(const ledger::Transaction& tx, bool commit) const;
   /// Attempt-scoped 2PC dedup key ("2pc-p"/"2pc-c" + tx hash + attempt).
   /// Attempt 0 hashes exactly the pre-recovery key, so clean runs keep
   /// bit-identical dedup state.
@@ -497,6 +537,10 @@ class JengaSystem final : public ShardedSystem {
     TxPtr tx;
   };
   std::unordered_map<Hash256, TwoPcEntry> twopc_inflight_;
+  /// Retry attempt of each transfer whose refund scheduled a fresh attempt,
+  /// so an epoch requeue resumes there rather than at attempt 0, whose keys
+  /// the destination has tombstoned.  Pruned at each cutover.
+  std::unordered_map<Hash256, std::uint32_t> retry_attempts_;
   std::uint64_t twopc_stuck_total_ = 0;
   /// Failure detector feeding adaptive timeouts + hedging (not owned; the
   /// harness wires it so all system variants share one construction path).

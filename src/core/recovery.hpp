@@ -5,12 +5,12 @@
 // violation; this module turns the flag into a repair.  Each wedged round
 // walks a per-round ladder the coordinator drives from its watchdog scan:
 //
-//   rung 1..max_rerequests  — kProbe: re-offer the prepare to the destination
+//   rung 1..kMaxRerequests  — kProbe: re-offer the prepare to the destination
 //                             shard.  If the prepare was lost the destination
 //                             adopts it now; if the credit already happened
 //                             the destination re-sends the lost ack.  Probes
 //                             are idempotent (attempt-scoped dedup keys).
-//   rung max_rerequests+1.. — kAbortQuery: settle the round NOW.  The
+//   rung kMaxRerequests+1.. — kAbortQuery: settle the round NOW.  The
 //                             destination answers kCredited (credit applied,
 //                             treat as the ack) or kNeverCredited (credit
 //                             tombstoned so it can never land later; the
@@ -28,15 +28,16 @@
 
 namespace jenga::core {
 
+/// Probe rungs before the ladder escalates to a force-abort query.
+inline constexpr std::uint32_t kMaxRerequests = 2;
+/// Full retry cycles (refund + fresh attempt) before a transfer is terminally
+/// aborted.  Attempt 0 is the original round.
+inline constexpr std::uint32_t kMaxAttempts = 3;
+
 struct RecoveryConfig {
   /// Master switch: false restores the observe-only watchdog (flag + flight
   /// dump, no repair traffic).
   bool enabled = true;
-  /// Probe rungs before the ladder escalates to a force-abort query.
-  std::uint32_t max_rerequests = 2;
-  /// Full retry cycles (refund + fresh attempt) before the transfer is
-  /// terminally aborted.  Attempt 0 is the original round.
-  std::uint32_t max_attempts = 3;
   /// Delay between consecutive ladder actions on one round.
   SimTime backoff = 10 * kSecond;
 };

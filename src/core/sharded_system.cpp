@@ -51,6 +51,13 @@ void ShardedSystem::tx_shard_finished(const Hash256& tx_hash, bool ok) {
   tracker_.erase(it);
 }
 
+void ShardedSystem::charge_fee(ShardLedger& shard, AccountId payer, std::uint64_t fee) {
+  const std::uint64_t bal = shard.store.balance(payer).value_or(0);
+  const std::uint64_t charge = std::min(bal, fee);
+  shard.store.set_balance(payer, bal - charge);
+  stats_.fees_charged += charge;
+}
+
 TxPtr ShardedSystem::tracked_tx(const Hash256& tx_hash) const {
   const auto it = tracker_.find(tx_hash);
   return it == tracker_.end() ? nullptr : it->second.tx;

@@ -98,6 +98,10 @@ class ShardedSystem {
   /// there).  When the last share lands, the tx completes: committed only if
   /// every share committed, with latency measured from submission.
   void tx_shard_finished(const Hash256& tx_hash, bool ok);
+  /// Charges a fee straight from the ledger (an abort's fee, or any fee not
+  /// deducted inside an execution bundle): up to `fee` of `payer`'s balance
+  /// on `shard`, never below zero, counted in stats_.fees_charged.
+  void charge_fee(ShardLedger& shard, AccountId payer, std::uint64_t fee);
   /// The tracked (submitted, not yet completed) transaction, or nullptr.
   [[nodiscard]] TxPtr tracked_tx(const Hash256& tx_hash) const;
 

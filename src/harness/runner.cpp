@@ -107,8 +107,6 @@ RunResult run_experiment(const RunConfig& config) {
       jc.max_block_items = config.max_block_items;
       jc.exec_workers = config.exec_workers;
       jc.epoch_interval = config.epoch_interval;
-      jc.epoch_drain_window = config.epoch_drain_window;
-      jc.epoch_beacon_lead = config.epoch_beacon_lead;
       jc.storage_backend = config.storage_backend;
       jc.storage_snapshot_interval = config.storage_snapshot_interval;
       jc.model_state_sync = config.model_state_sync;

@@ -79,8 +79,6 @@ struct RunConfig {
   // --- Live epoch reconfiguration (Jenga kinds only; baselines ignore) ----
   /// > 0: reshuffle the lattice every `epoch_interval` of simulated time.
   SimTime epoch_interval = 0;
-  SimTime epoch_drain_window = 10 * kSecond;
-  SimTime epoch_beacon_lead = 20 * kSecond;
 
   // --- Durable authenticated state (Jenga kinds only; baselines ignore) ---
   core::StorageBackendKind storage_backend = core::StorageBackendKind::kNone;

@@ -71,8 +71,6 @@ JengaConfig reconfig_config() {
   cfg.view_timeout = 15 * kSecond;
   cfg.pending_timeout = 60 * kSecond;
   cfg.epoch_interval = 60 * kSecond;
-  cfg.epoch_drain_window = 10 * kSecond;
-  cfg.epoch_beacon_lead = 20 * kSecond;
   return cfg;
 }
 
@@ -222,6 +220,59 @@ TEST(Reconfig, RecoveredNodeSyncsIntoNewGroup) {
       << "limbo txs: " << f.system->in_flight();
 }
 
+// A transfer submitted just before a cutover still has its client copy in
+// flight when the boundary requeues it.  The late copy must not queue a
+// second debit: its prepare would die on the destination's dedup, so the
+// second debit would never be credited or refunded.
+TEST(Reconfig, LateClientCopyAcrossCutoverDebitsOnce) {
+  ReconfigFixture f(reconfig_config());
+  f.sim.run_until(60 * kSecond - 40 * kMillisecond);  // the first cutover is due at 60s
+  for (int i = 0; i < 8; ++i) {
+    f.sim.run_until(f.sim.now() + 5 * kMillisecond);
+    f.system->submit(std::make_shared<ledger::Transaction>(f.gen->transfer_tx(f.sim.now())));
+  }
+  f.sim.run_until(200 * kSecond);
+
+  EXPECT_GE(f.system->epoch_stats().transitions, 1u);
+  const InvariantReport report = check_invariants(*f.system, f.initial_balance);
+  EXPECT_TRUE(report.ok()) << report.describe();
+  const auto& st = f.system->stats();
+  EXPECT_EQ(st.committed + st.aborted, 8u) << "limbo txs: " << f.system->in_flight();
+}
+
+// A partition wedges a transfer's 2PC round past the cutover time, and the
+// recovery ladder force-aborts it only after the partition heals.  The
+// cutover must wait for the queued refund, and the requeued transfer must
+// resume at its next attempt: attempt 0's keys are tombstoned at the
+// destination, so restarting there would wedge the round again.
+TEST(Reconfig, RefundQueuedAtCutoverSurvivesIt) {
+  JengaConfig cfg = reconfig_config();
+  cfg.twopc_stuck_timeout = 10 * kSecond;
+  cfg.recovery.backoff = 8 * kSecond;
+  ReconfigFixture f(cfg);
+  const auto members = f.system->lattice().shard_members(ShardId{1});
+
+  FaultPlan plan;
+  plan.partitions.push_back({29 * kSecond, 75 * kSecond, {members.begin(), members.end()}, 1});
+  f.injector->arm(plan);
+  f.sim.run_until(30 * kSecond);
+  for (int i = 0; i < 8; ++i) {
+    f.sim.run_until(f.sim.now() + 500 * kMillisecond);
+    f.system->submit(std::make_shared<ledger::Transaction>(f.gen->transfer_tx(f.sim.now())));
+  }
+  f.sim.run_until(400 * kSecond);
+
+  EXPECT_GE(f.system->epoch_stats().transitions, 1u);
+  // Each transfer is force-aborted at most once: one resumed at attempt 0
+  // would wedge on its tombstoned keys and be refunded again.
+  EXPECT_GT(f.system->recovery_stats().refunds, 0u);
+  EXPECT_LE(f.system->recovery_stats().refunds, 8u);
+  const InvariantReport report = check_invariants(*f.system, f.initial_balance);
+  EXPECT_TRUE(report.ok()) << report.describe();
+  const auto& st = f.system->stats();
+  EXPECT_EQ(st.committed + st.aborted, 8u) << "limbo txs: " << f.system->in_flight();
+}
+
 // Seeded determinism across transitions: same seed, different exec worker
 // counts -> bit-identical ledger digest (and identical transition counts).
 TEST(Reconfig, DeterministicLedgerAcrossExecWorkers) {
@@ -238,8 +289,6 @@ TEST(Reconfig, DeterministicLedgerAcrossExecWorkers) {
     rc.max_sim_time = 500 * kSecond;
     rc.exec_workers = workers[i];
     rc.epoch_interval = 50 * kSecond;
-    rc.epoch_beacon_lead = 20 * kSecond;
-    rc.epoch_drain_window = 10 * kSecond;
     runs[i] = harness::run_experiment(rc);
   }
   EXPECT_GE(runs[0].epoch_transitions, 1u);

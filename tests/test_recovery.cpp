@@ -34,7 +34,6 @@ using security::InvariantReport;
 
 TEST(RecoveryLadder, ProbesThenEscalatesWithBackoff) {
   RecoveryConfig cfg;
-  cfg.max_rerequests = 2;
   cfg.backoff = 10 * kSecond;
   LadderState st;
 
