@@ -170,11 +170,12 @@ CellResult run_cell(double drop, int byz_per_shard) {
 
 // ---------------------------------------------------------------------------
 // Gray-failure sweep (DESIGN.md §14): degraded-but-alive victims under the
-// self-healing stack — phi-accrual detection, adaptive timeouts, hedged 2PC
-// legs, and the stuck-2PC recovery ladder.  Each cell runs a transfer burst
-// THROUGH the fault window (feeding the watchdog wedged rounds to settle),
-// then a measured batch after the window heals; the post-heal p99 against the
-// clean cell's is the "did it actually recover" verdict.
+// self-healing stack — phi-accrual detection, the view timeout that shrinks
+// toward a suspected leader, and the stuck-2PC recovery ladder.  Each cell
+// runs a transfer burst THROUGH the fault window (feeding the watchdog wedged
+// rounds to settle), then a measured batch after the window heals; the
+// post-heal p99 against the clean cell's is the "did it actually recover"
+// verdict.
 
 struct GrayCellResult {
   std::string name;
@@ -308,7 +309,7 @@ std::string gray_to_json(const std::vector<GrayCellResult>& cells) {
         "\"invariants_ok\":%s,\"stuck_flagged\":%llu,\"stuck_at_end\":%llu,"
         "\"gray_dropped\":%llu,\"detector_samples\":%llu,\"suspicions\":%llu,"
         "\"time_to_detect_s\":%.2f,\"probes\":%llu,\"abort_queries\":%llu,"
-        "\"refunds\":%llu,\"retries\":%llu,\"resolved\":%llu,\"hedged\":%llu,"
+        "\"refunds\":%llu,\"retries\":%llu,\"resolved\":%llu,"
         "\"time_to_recover_s\":%.2f,\"postheal_p99_s\":%.3f}",
         c.name.c_str(), static_cast<unsigned long long>(c.submitted),
         static_cast<unsigned long long>(c.committed),
@@ -322,8 +323,7 @@ std::string gray_to_json(const std::vector<GrayCellResult>& cells) {
         static_cast<unsigned long long>(c.recovery.abort_queries),
         static_cast<unsigned long long>(c.recovery.refunds),
         static_cast<unsigned long long>(c.recovery.retries),
-        static_cast<unsigned long long>(c.recovery.resolved),
-        static_cast<unsigned long long>(c.recovery.hedged_sends), c.recover_s,
+        static_cast<unsigned long long>(c.recovery.resolved), c.recover_s,
         c.postheal_p99_s);
     out << (i ? "," : "") << buf;
   }

@@ -151,9 +151,8 @@ void Replica::arm_view_timer() {
   const std::uint64_t gen = ++timer_generation_;
   const std::uint64_t h = next_height_;
   const std::uint32_t v = view_;
-  // The failure detector (when attached) adapts the timeout: a suspected-dead
-  // leader is cut loose faster, a merely-degraded network gets more slack
-  // before replicas start voting the leader out.
+  // The failure detector (when attached) cuts a suspected-dead leader loose
+  // faster.
   SimTime timeout = config_->view_timeout;
   if (view_timeout_hook_) timeout = view_timeout_hook_(self_, leader_for(v), timeout);
   net_.simulator().schedule_after(timeout, [this, gen, h, v] {

@@ -173,8 +173,8 @@ class Replica {
   /// Advisory hook consulted each time the view timer is armed:
   /// (self, current leader, configured timeout) -> effective timeout.  The
   /// failure detector plugs in here (shorter timer for a suspected-dead
-  /// leader, longer for a merely degraded network); must return `base`
-  /// unchanged in healthy runs so clean schedules stay bit-identical.
+  /// leader); must return `base` unchanged in healthy runs so clean
+  /// schedules stay bit-identical.
   using ViewTimeoutHook = std::function<SimTime(NodeId self, NodeId leader, SimTime base)>;
   void set_view_timeout_hook(ViewTimeoutHook hook) { view_timeout_hook_ = std::move(hook); }
 

@@ -96,15 +96,13 @@ struct ChannelBlockPayload : sim::Payload {
 };
 
 /// kNoGlobalLogic: intermediate bundle relayed between home shards.
-struct ContinuationPayload : sim::Payload {
+struct ContinuationPayload : EpochTaggedPayload {
+  using EpochTaggedPayload::EpochTaggedPayload;
   TxPtr tx;
   PortableState gathered;
   std::uint32_t next_step = 0;
   ShardId target;
   std::uint8_t hops = 0;  // >0: relay through the channel subgroup
-  /// Stale continuations straddling an epoch cutover must not re-enter the
-  /// new lattice (the boundary already force-aborted and requeued their tx).
-  std::uint64_t epoch = 0;
 
   [[nodiscard]] std::uint32_t wire_size() const { return 128 + gathered.wire_size(); }
 };
@@ -420,10 +418,9 @@ struct ResultBatches {
   std::map<std::uint32_t, ResultBatchPayload> by_target;
 
   void add(ShardId target, const ExecResult& result) {
-    auto& batch = by_target[target.value];
+    auto& batch = by_target.try_emplace(target.value, epoch).first->second;
     batch.source = source;
     batch.channel_height = height;
-    batch.epoch = epoch;
     batch.target = target;
     batch.cert = cert;
     batch.results.push_back(result);
@@ -756,16 +753,6 @@ void JengaSystem::model_recovery_sync(NodeId node, bool use_durable_image) {
 
 void JengaSystem::set_failure_detector(security::FailureDetector* detector) {
   detector_ = detector;
-  if (mesh_) {
-    if (detector == nullptr) {
-      mesh_->set_cadence_hook(nullptr);
-    } else {
-      // Hotter pull-repair while the network is degraded (base divisor when
-      // healthy, so clean schedules stay bit-identical).
-      mesh_->set_cadence_hook(
-          [detector](std::uint32_t base) { return detector->pull_cadence(base); });
-    }
-  }
   for (std::uint32_t i = 0; i < shard_replicas_.size(); ++i) wire_view_timeout(i);
 }
 
@@ -969,7 +956,7 @@ void JengaSystem::on_node_message(NodeId node, const sim::Message& msg) {
     case sim::MsgType::kSubTxResult: {
       // kNoGlobalLogic continuation relay.
       const auto& p = sim::payload_as<ContinuationPayload>(msg);
-      if (p.epoch != epoch_) return;  // straddled a reshuffle; tx was requeued
+      if (stale(p)) return;
       const Assignment asg = lattice_->assignment(node);
       if (asg.shard == p.target) {
         ShardEngine& eng = *shards_[p.target.value];
@@ -1006,7 +993,7 @@ void JengaSystem::handle_client_tx(NodeId node, const sim::Message& msg) {
 
 void JengaSystem::handle_grant_batch(NodeId node, const sim::Message& msg) {
   const auto& p = sim::payload_as<GrantBatchPayload>(msg);
-  if (p.epoch != epoch_) return;  // straddled a reshuffle; its txs were requeued
+  if (stale(p)) return;
   const Assignment asg = lattice_->assignment(node);
   if (config_.pipeline == Pipeline::kNoGlobalLogic) {
     // Leg 1 lands on all channel members; only nodes of the target shard
@@ -1046,12 +1033,11 @@ void JengaSystem::answer_dead_grant(GatherUnit& gather, std::uint32_t responder_
       grant.tx_hash.prefix_u64() ^ (0x9E3779B9ULL * (grant.source.value + 1));
   const std::uint64_t key = splitmix64(key_state);
   if (!gather.late_abort_sent.insert(key).second) return;  // answered already
-  ResultBatchPayload batch;
+  ResultBatchPayload batch(epoch_);
   batch.source = ChannelId{responder_group};
   // Synthetic batch height outside the real consensus-height space, so the
   // shard-side result dedup never collides with a real (source, height) pair.
   batch.channel_height = (1ULL << 40) + gather.late_abort_seq++;
-  batch.epoch = epoch_;
   batch.target = grant.source;
   ExecResult r;
   r.tx_hash = grant.tx_hash;
@@ -1064,7 +1050,7 @@ void JengaSystem::answer_dead_grant(GatherUnit& gather, std::uint32_t responder_
 
 void JengaSystem::handle_result_batch(NodeId node, const sim::Message& msg) {
   const auto& p = sim::payload_as<ResultBatchPayload>(msg);
-  if (p.epoch != epoch_) return;  // straddled a reshuffle; its txs were requeued
+  if (stale(p)) return;
   const Assignment asg = lattice_->assignment(node);
   if (asg.shard != p.target) return;  // channel witnesses just observe
   ShardEngine& eng = *shards_[asg.shard.value];
@@ -1101,35 +1087,14 @@ Hash256 JengaSystem::twopc_key(const char* tag, const Hash256& h, std::uint32_t 
   return crypto::sha256_tagged(tag, std::span<const std::uint8_t>(buf));
 }
 
-void JengaSystem::send_two_pc(NodeId from, ShardId dest, const sim::Message& msg) {
-  const NodeId primary = shard_contact(dest);
-  if (detector_ != nullptr && detector_->suspect(from, primary)) {
-    const auto& members = lattice_->shard_members(dest);
-    if (members.size() > 1) {
-      // Hedge: duplicate the leg to the deterministically-next member of the
-      // destination group (no rng draw).  Both copies land inside the right
-      // shard, so whichever arrives second dies on the attempt-scoped dedup.
-      std::size_t slot = 0;
-      for (std::size_t i = 0; i < members.size(); ++i)
-        if (members[i].value == primary.value) {
-          slot = i;
-          break;
-        }
-      const NodeId backup = members[(slot + 1) % members.size()];
-      count(recovery_stats_.hedged_sends, "recovery.hedged_sends");
-      net_.send(from, backup, msg, sim::TrafficClass::kCrossShard);
-    }
-  }
-  net_.send(from, primary, msg, sim::TrafficClass::kCrossShard);
-}
-
 ShardId JengaSystem::two_pc_shard(const Transaction& tx, bool commit) const {
   return ledger::shard_of_account(commit ? tx.sender : tx.to, config_.num_shards);
 }
 
 void JengaSystem::emit_two_pc(NodeId from, const TxPtr& tx, bool commit, TwoPcPayload::Op op,
                               std::uint32_t attempt) {
-  send_two_pc(from, two_pc_shard(*tx, commit), two_pc_message(from, tx, commit, op, attempt));
+  net_.send(from, shard_contact(two_pc_shard(*tx, commit)),
+            two_pc_message(from, tx, commit, op, attempt), sim::TrafficClass::kCrossShard);
 }
 
 void JengaSystem::handle_two_pc(NodeId node, const sim::Message& msg) {
@@ -1141,7 +1106,7 @@ void JengaSystem::handle_two_pc(NodeId node, const sim::Message& msg) {
   // process this stage.  Normal operation never takes this hop.
   const ShardId want = two_pc_shard(*p.tx, p.commit);
   if (asg.shard != want) {
-    send_two_pc(node, want, msg);
+    net_.send(node, shard_contact(want), msg, sim::TrafficClass::kCrossShard);
     return;
   }
   if (p.op != TwoPcPayload::Op::kLeg) {
@@ -1503,10 +1468,9 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
         telemetry_->tracer.phase_event(tx->hash, telemetry::Phase::kStateLock,
                                        eng.id.value, now);
 
-      auto& batch = batches[exec_site(*tx)];
+      auto& batch = batches.try_emplace(exec_site(*tx), epoch_).first->second;
       batch.source = eng.id;
       batch.shard_height = height;
-      batch.epoch = epoch_;
       batch.cert = cert;  // receivers verify before ingesting
       batch.grants.push_back(std::move(grant));
     }
@@ -1777,7 +1741,7 @@ void JengaSystem::shard_decide(ShardEngine& eng, NodeId node, std::uint64_t heig
       }
       const ShardId next = ledger::shard_of_contract(
           tx.contracts[tx.steps[step].contract_slot], config_.num_shards);
-      auto cp = std::make_shared<ContinuationPayload>();
+      auto cp = std::make_shared<ContinuationPayload>(epoch_);
       cp->tx = visit.tx;
       cp->gathered = std::move(gathered);
       cp->next_step = step;
@@ -2277,14 +2241,14 @@ bool JengaSystem::frame_item_seen(NodeId node, const sim::Message& inner) const 
   const Assignment asg = lattice_->assignment(node);
   if (inner.type == sim::MsgType::kStateGrant) {
     const auto& p = sim::payload_as<GrantBatchPayload>(inner);
-    if (p.epoch != epoch_) return true;  // dropped unread by the handler
+    if (stale(p)) return true;  // dropped unread by the handler
     if (config_.pipeline == Pipeline::kNoGlobalLogic && asg.shard != p.relay_target)
       return true;  // witness only
     return site_engine(site_of(asg)).grant_dedup.contains(grant_key(p));
   }
   if (inner.type == sim::MsgType::kExecResult) {
     const auto& p = sim::payload_as<ResultBatchPayload>(inner);
-    if (p.epoch != epoch_) return true;
+    if (stale(p)) return true;
     if (asg.shard != p.target) return true;  // channel witnesses just observe
     return shards_[asg.shard.value]->result_dedup.contains(result_key(p));
   }

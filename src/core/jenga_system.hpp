@@ -227,14 +227,12 @@ class JengaSystem final : public ShardedSystem {
   [[nodiscard]] gossip::Batcher* batcher() const { return batcher_.get(); }
 
   /// Attaches the phi-accrual failure detector (nullptr detaches).  Wires
-  /// its suspicion signal into this layer's repair machinery: adaptive BFT
-  /// view timeouts on every replica, hotter rumor pull-repair cadence while
-  /// degraded, and hedged 2PC legs toward suspected contacts.  An attached
-  /// detector acts, so the harness attaches one only to runs with a fault
-  /// plan (see security/detector.hpp).
+  /// its suspicion signal into every replica's BFT view timeout, which
+  /// shrinks toward a suspected leader.  An attached detector acts, so the
+  /// harness attaches one only to runs with a fault plan (see
+  /// security/detector.hpp).
   void set_failure_detector(security::FailureDetector* detector);
-  [[nodiscard]] security::FailureDetector* failure_detector() const { return detector_; }
-  /// Recovery-ladder activity (probes, force-aborts, refunds, hedges, ...).
+  /// Recovery-ladder activity (probes, force-aborts, refunds, ...).
   [[nodiscard]] const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
   /// Marks a node Byzantine-silent (consensus-level fault injection).
@@ -363,6 +361,10 @@ class JengaSystem final : public ShardedSystem {
   /// OLD shard's state, useless for the new one, so they sync from empty.
   void model_recovery_sync(NodeId node, bool use_durable_image);
   void on_node_message(NodeId node, const sim::Message& msg);
+  /// The one epoch check: a tagged payload from an earlier epoch straddled a
+  /// reshuffle (its txs were force-aborted and requeued at the cutover), so
+  /// every handler and frame_item_seen drop it unread.
+  [[nodiscard]] bool stale(const EpochTaggedPayload& p) const { return p.epoch != epoch_; }
   void handle_client_tx(NodeId node, const sim::Message& msg);
   void handle_grant_batch(NodeId node, const sim::Message& msg);
   void handle_result_batch(NodeId node, const sim::Message& msg);
@@ -415,13 +417,8 @@ class JengaSystem final : public ShardedSystem {
   /// force-abort queries at the destination shard, their replies at the
   /// coordinator's shard.
   void handle_two_pc_recovery(NodeId node, const sim::Message& msg);
-  /// Unicast a 2PC leg to the destination shard's contact; when the failure
-  /// detector suspects that contact from `from`'s vantage, the same message
-  /// is duplicated to the deterministically-next group member (hedged send —
-  /// attempt-scoped dedup makes the duplicate harmless).
-  void send_two_pc(NodeId from, ShardId dest, const sim::Message& msg);
-  /// Builds a 2PC message and sends it (send_two_pc) to where it is
-  /// processed: two_pc_shard(tx, commit).
+  /// Builds a 2PC message and unicasts it to the contact of the shard where
+  /// it is processed: two_pc_shard(tx, commit).
   void emit_two_pc(NodeId from, const TxPtr& tx, bool commit, TwoPcPayload::Op op,
                    std::uint32_t attempt);
   /// The sender's (coordinator) shard for commit legs, the recipient's for
@@ -542,7 +539,7 @@ class JengaSystem final : public ShardedSystem {
   /// the destination has tombstoned.  Pruned at each cutover.
   std::unordered_map<Hash256, std::uint32_t> retry_attempts_;
   std::uint64_t twopc_stuck_total_ = 0;
-  /// Failure detector feeding adaptive timeouts + hedging (not owned; the
+  /// Failure detector feeding the adaptive view timeout (not owned; the
   /// harness wires it so all system variants share one construction path).
   security::FailureDetector* detector_ = nullptr;
   RecoveryStats recovery_stats_;

@@ -45,15 +45,23 @@ struct ExecResult {
   }
 };
 
+/// Base of the relayed payloads an epoch cutover invalidates in flight: grant
+/// batches, result batches and kNoGlobalLogic continuations.  `epoch` is the
+/// epoch the producing group decided in; one still in flight when the lattice
+/// reshuffles is stale — the boundary already force-aborted and requeued its
+/// transactions — and must not re-enter the new lattice.  The epoch is a
+/// constructor argument, so no construction site can forget to set it.
+struct EpochTaggedPayload : sim::Payload {
+  explicit EpochTaggedPayload(std::uint64_t e) : epoch(e) {}
+  const std::uint64_t epoch;
+};
+
 /// A batch of grants from one shard-consensus decision, destined to one
 /// execution channel; forwarded by the (shard, channel) subgroup members.
-struct GrantBatchPayload : sim::Payload {
+struct GrantBatchPayload : EpochTaggedPayload {
+  using EpochTaggedPayload::EpochTaggedPayload;
   ShardId source;
   std::uint64_t shard_height = 0;  // dedup key together with `source`
-  /// Epoch the granting shard decided in.  A batch still in flight when the
-  /// lattice reshuffles is stale — its transactions were force-aborted and
-  /// requeued at the boundary — and must not seed a new-epoch gather.
-  std::uint64_t epoch = 0;
   std::vector<StateGrant> grants;
   /// kNoGlobalLogic: the batch ultimately lands on this shard; channel nodes
   /// in subgroup(relay_target, channel) rebroadcast when hops > 0.
@@ -74,13 +82,10 @@ struct GrantBatchPayload : sim::Payload {
 
 /// A batch of execution results from one channel decision, destined to one
 /// state shard; forwarded by the subgroup members.
-struct ResultBatchPayload : sim::Payload {
+struct ResultBatchPayload : EpochTaggedPayload {
+  using EpochTaggedPayload::EpochTaggedPayload;
   ChannelId source;                 // source group id (channel, or shard id reused)
   std::uint64_t channel_height = 0;
-  /// Epoch the executing group decided in (same staleness rule as grants:
-  /// results that straddle a reshuffle would commit an execution of a tx the
-  /// boundary already aborted and requeued).
-  std::uint64_t epoch = 0;
   ShardId target;
   std::vector<ExecResult> results;
   std::uint8_t hops = 0;  // >0: relayed via a channel, subgroup rebroadcasts

@@ -49,7 +49,7 @@ struct RecoveryStats {
   std::uint64_t refunds = 0;            // never-credited debits returned
   std::uint64_t retries = 0;            // fresh attempts re-ingested after a refund
   std::uint64_t terminal_aborts = 0;    // retry budget exhausted
-  std::uint64_t hedged_sends = 0;       // duplicate legs to a backup contact
+  std::uint64_t hedged_sends = 0;       // always 0: no leg is hedged; benchmark readers still read it
   std::uint64_t resolved = 0;           // flagged-stuck rounds that finalized
   SimTime last_resolved_at = 0;
 };

@@ -173,10 +173,7 @@ void RumorMesh::tick(std::uint64_t group_key, std::size_t slot) {
     }
     std::sort(fresh.begin(), fresh.end());
 
-    // Anti-entropy cadence, optionally tightened by the failure detector
-    // while the network is degraded (hook returns the base divisor when not).
-    std::uint32_t every = std::max<std::uint32_t>(1, config_.anti_entropy_every);
-    if (cadence_hook_) every = std::max<std::uint32_t>(1, cadence_hook_(every));
+    const std::uint32_t every = std::max<std::uint32_t>(1, config_.anti_entropy_every);
     const bool ping_round = ns.ticks % every == 0;
     if (!fresh.empty() || ping_round) {
       auto payload = std::make_shared<RumorPushPayload>();

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -125,13 +124,6 @@ class RumorMesh final : public sim::RumorTransport {
   [[nodiscard]] const RumorStats& stats() const { return stats_; }
   [[nodiscard]] const RumorConfig& config() const { return config_; }
 
-  /// Advisory hook for the anti-entropy cadence: base tick divisor -> the
-  /// divisor to use this round.  The failure detector plugs in here to run
-  /// pull repair hotter while the network is degraded; must return `base`
-  /// in healthy runs so clean schedules stay bit-identical.
-  using CadenceHook = std::function<std::uint32_t(std::uint32_t base)>;
-  void set_cadence_hook(CadenceHook hook) { cadence_hook_ = std::move(hook); }
-
  private:
   enum class Phase : std::uint8_t { kNew = 0, kKnown = 1 };
 
@@ -193,7 +185,6 @@ class RumorMesh final : public sim::RumorTransport {
   RumorConfig config_;
   Rng rng_;
   RumorStats stats_;
-  CadenceHook cadence_hook_;
   std::unordered_map<std::uint64_t, GroupState> groups_;
   /// Per-group per-member state, keyed (group_key ^ mixed slot).
   std::unordered_map<std::uint64_t, NodeState> node_state_;

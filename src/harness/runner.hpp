@@ -104,8 +104,8 @@ struct RunConfig {
   /// Scripted faults, armed before the run (Jenga kinds only; overload bursts
   /// additionally need an open-loop arrival mode to have a client to throttle).
   /// A non-empty plan also attaches the phi-accrual failure detector to the
-  /// Jenga run (DESIGN.md §14): adaptive view timeouts, hotter pull repair,
-  /// hedged 2PC legs.  Clean runs get no detector.
+  /// Jenga run (DESIGN.md §14), which shortens the view timeout toward a
+  /// suspected leader.  Clean runs get no detector.
   security::FaultPlan faults_plan;
 };
 

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -28,7 +29,7 @@ class LockManager {
   /// Releases every lock held by `owner` (both kinds); returns how many were
   /// released.  The one safe way to clean up on abort: enumerating the
   /// transaction's footprint at the call site risks missing locks acquired
-  /// before a partial failure.
+  /// before a partial failure.  O(locks `owner` holds), via the owner index.
   std::size_t release_all(const Hash256& owner);
 
   [[nodiscard]] bool contract_locked(ContractId id) const;
@@ -40,8 +41,20 @@ class LockManager {
   }
 
  private:
+  /// The locks one owner holds, in acquisition order.
+  struct Held {
+    std::vector<ContractId> contracts;
+    std::vector<AccountId> accounts;
+  };
+  /// Drops `id` from `owner`'s index entry, and the entry once it is empty.
+  template <typename Id>
+  void forget(std::vector<Id> Held::*list, const Hash256& owner, Id id);
+
   std::unordered_map<ContractId, Hash256> contract_locks_;
   std::unordered_map<AccountId, Hash256> account_locks_;
+  /// Owner -> the locks it holds: every lock in the two maps above appears
+  /// exactly once here, under its owner.
+  std::unordered_map<Hash256, Held> held_by_;
 };
 
 }  // namespace jenga::ledger

@@ -25,15 +25,6 @@ void FailureDetector::on_arrival(NodeId from, NodeId to, SimTime now) {
     p.sum += interval;
     p.sum_sq += interval * interval;
     ++stats_.samples;
-
-    // Global degradation signal: one shared fast EWMA across every pair.  The
-    // baseline is the healthiest (minimum) level it reached after warmup, so
-    // a network-wide latency/serialization inflation shows up as the EWMA
-    // floating a factor above it.
-    ewma_ = ewma_ == 0 ? interval
-                       : config_.ewma_alpha * interval + (1 - config_.ewma_alpha) * ewma_;
-    if (stats_.samples >= config_.warmup_samples)
-      baseline_ = baseline_ == 0 ? ewma_ : std::min(baseline_, ewma_);
   }
   p.last_arrival = now;
   if (p.suspected) {
@@ -82,28 +73,10 @@ bool FailureDetector::suspect(NodeId observer, NodeId peer) {
   return p.suspected;
 }
 
-bool FailureDetector::degraded() const {
-  if (baseline_ <= 0) return false;
-  return ewma_ > baseline_ * config_.degrade_factor;
-}
-
 SimTime FailureDetector::view_timeout(NodeId observer, NodeId leader, SimTime base) {
-  if (suspect(observer, leader)) {
-    const auto shrunk =
-        static_cast<SimTime>(static_cast<double>(base) * config_.timeout_shrink);
-    return std::max(config_.view_floor, shrunk);
-  }
-  if (degraded()) {
-    const auto grown =
-        static_cast<SimTime>(static_cast<double>(base) * config_.timeout_grow);
-    return std::min(config_.view_ceiling, grown);
-  }
-  return base;
-}
-
-std::uint32_t FailureDetector::pull_cadence(std::uint32_t base) const {
-  if (!degraded()) return base;
-  return std::max<std::uint32_t>(1, base / 2);
+  if (!suspect(observer, leader)) return base;
+  const auto shrunk = static_cast<SimTime>(static_cast<double>(base) * config_.timeout_shrink);
+  return std::max(config_.view_floor, shrunk);
 }
 
 }  // namespace jenga::security

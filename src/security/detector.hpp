@@ -10,9 +10,8 @@
 // recent inter-arrival window (Hayashibara et al., "The phi accrual failure
 // detector").  phi grows continuously as silence stretches: small phi means
 // "probably just late", large phi means "statistically dead".  Consumers pick
-// their own thresholds/actions: consensus shortens the view timeout for a
-// suspected leader, the 2PC coordinator hedges its unicast legs, and the rumor
-// mesh tightens its pull-repair cadence when the whole network looks degraded.
+// their own thresholds/actions; the one actuator is consensus, which shortens
+// the view timeout toward a suspected leader.
 //
 // An attached detector acts.  This is the simulation-determinism compromise:
 // inter-arrival statistics over bursty protocol traffic inevitably cross any
@@ -45,18 +44,10 @@ struct DetectorConfig {
   /// Floor on a recorded interval; sub-millisecond bursts would otherwise
   /// collapse the variance and make phi explode on the next normal gap.
   SimTime min_interval = kMillisecond;
-  /// Adaptive view-timeout bounds: suspected-dead leader shrinks the timeout
-  /// toward the floor, a degraded (gray-slow) network grows it toward the
-  /// ceiling so laggards stop triggering spurious view changes.
+  /// Adaptive view timeout: a suspected-dead leader shrinks the timeout by
+  /// this factor, floored at `view_floor`.
   double timeout_shrink = 0.4;
-  double timeout_grow = 2.0;
   SimTime view_floor = 2 * kSecond;
-  SimTime view_ceiling = 240 * kSecond;
-  /// Degraded-network signal: fast EWMA of the global inter-arrival stream
-  /// exceeding `degrade_factor` x its post-warmup minimum.
-  double ewma_alpha = 0.05;
-  double degrade_factor = 3.0;
-  std::size_t warmup_samples = 64;
 };
 
 struct DetectorStats {
@@ -84,19 +75,9 @@ class FailureDetector final : public sim::ArrivalObserver {
 
   [[nodiscard]] bool any_suspected() const { return suspect_count_ > 0; }
 
-  /// True when the global inter-arrival EWMA says the network as a whole is
-  /// running well above its healthy baseline.
-  [[nodiscard]] bool degraded() const;
-
-  /// Adaptive BFT view timeout: exactly `base` when healthy,
-  /// shrunk (floored) for a suspected leader, grown (ceilinged) when the
-  /// network is degraded but the leader is not individually suspect.
+  /// Adaptive BFT view timeout: exactly `base` unless `observer` suspects
+  /// `leader`, in which case it is shrunk (floored).
   SimTime view_timeout(NodeId observer, NodeId leader, SimTime base);
-
-  /// Adaptive anti-entropy cadence for the rumor mesh: halves the tick
-  /// divisor (floor 1 — every tick) while the network is degraded, so pull
-  /// repair runs hotter exactly when losses/latency make it matter.
-  [[nodiscard]] std::uint32_t pull_cadence(std::uint32_t base) const;
 
   [[nodiscard]] const DetectorStats& stats() const { return stats_; }
   [[nodiscard]] const DetectorConfig& config() const { return config_; }
@@ -122,10 +103,6 @@ class FailureDetector final : public sim::ArrivalObserver {
   std::unordered_map<std::uint64_t, PairState> pairs_;
   std::size_t suspect_count_ = 0;
   DetectorStats stats_;
-  // Degradation signal: fast EWMA of all inter-arrival samples vs the best
-  // (minimum) EWMA level seen after warmup.
-  double ewma_ = 0;
-  double baseline_ = 0;
 };
 
 }  // namespace jenga::security

@@ -124,6 +124,67 @@ TEST(LockManager, AccountLocksIndependent) {
   EXPECT_EQ(locks.held_locks(), 2u);
 }
 
+TEST(LockManager, ReleaseAllAfterPartialUnlock) {
+  LockManager locks;
+  const Hash256 tx1 = crypto::sha256("tx1");
+  ASSERT_TRUE(locks.lock_contract(ContractId{1}, tx1));
+  ASSERT_TRUE(locks.lock_contract(ContractId{2}, tx1));
+  ASSERT_TRUE(locks.lock_account(AccountId{3}, tx1));
+  ASSERT_TRUE(locks.lock_account(AccountId{4}, tx1));
+  ASSERT_TRUE(locks.unlock_contract(ContractId{1}, tx1));
+  ASSERT_TRUE(locks.unlock_account(AccountId{4}, tx1));
+  // Only what is still held is released, and counted.
+  EXPECT_EQ(locks.release_all(tx1), 2u);
+  EXPECT_EQ(locks.held_locks(), 0u);
+  EXPECT_FALSE(locks.contract_locked(ContractId{2}));
+  EXPECT_FALSE(locks.account_locked(AccountId{3}));
+  EXPECT_EQ(locks.release_all(tx1), 0u);  // nothing left to release
+}
+
+TEST(LockManager, ReleaseAllTouchesOnlyItsOwner) {
+  LockManager locks;
+  const Hash256 tx1 = crypto::sha256("tx1");
+  const Hash256 tx2 = crypto::sha256("tx2");
+  // Interleaved acquisitions, including a contended one and a re-acquire.
+  ASSERT_TRUE(locks.lock_contract(ContractId{1}, tx1));
+  ASSERT_TRUE(locks.lock_contract(ContractId{2}, tx2));
+  ASSERT_TRUE(locks.lock_account(AccountId{1}, tx2));
+  ASSERT_TRUE(locks.lock_account(AccountId{2}, tx1));
+  ASSERT_FALSE(locks.lock_contract(ContractId{2}, tx1));
+  ASSERT_TRUE(locks.lock_contract(ContractId{1}, tx1));
+  EXPECT_EQ(locks.held_locks(), 4u);
+
+  EXPECT_EQ(locks.release_all(tx1), 2u);
+  EXPECT_FALSE(locks.contract_locked(ContractId{1}));
+  EXPECT_FALSE(locks.account_locked(AccountId{2}));
+  ASSERT_NE(locks.contract_owner(ContractId{2}), nullptr);
+  EXPECT_EQ(*locks.contract_owner(ContractId{2}), tx2);
+  EXPECT_TRUE(locks.account_locked(AccountId{1}));
+
+  EXPECT_EQ(locks.release_all(tx2), 2u);
+  EXPECT_EQ(locks.held_locks(), 0u);
+}
+
+TEST(LockManager, RelockAfterReleaseAll) {
+  LockManager locks;
+  const Hash256 tx1 = crypto::sha256("tx1");
+  const Hash256 tx2 = crypto::sha256("tx2");
+  ASSERT_TRUE(locks.lock_contract(ContractId{1}, tx1));
+  ASSERT_TRUE(locks.lock_account(AccountId{1}, tx1));
+  ASSERT_EQ(locks.release_all(tx1), 2u);
+
+  // The freed states go to another owner, and back to the first one; each
+  // release_all sees exactly its owner's current locks.
+  ASSERT_TRUE(locks.lock_contract(ContractId{1}, tx2));
+  EXPECT_EQ(locks.release_all(tx1), 0u);
+  EXPECT_TRUE(locks.contract_locked(ContractId{1}));
+  ASSERT_EQ(locks.release_all(tx2), 1u);
+  ASSERT_TRUE(locks.lock_contract(ContractId{1}, tx1));
+  ASSERT_TRUE(locks.lock_account(AccountId{1}, tx1));
+  EXPECT_EQ(locks.release_all(tx1), 2u);
+  EXPECT_EQ(locks.held_locks(), 0u);
+}
+
 TEST(Chain, AppendsLinkedBlocks) {
   Chain chain(ShardId{0});
   const auto b0 = build_block(ShardId{0}, 0, chain.tip_hash(),

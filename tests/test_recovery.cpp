@@ -1,9 +1,10 @@
 // Stuck-2PC recovery ladder (core/recovery.hpp, DESIGN.md §14): policy unit
 // tests, an end-to-end scenario where a partition wedges cross-shard transfer
 // rounds and the ladder heals every one of them, the observe-only contrast
-// (recovery disabled => the wedge is permanent), gray fault plans, and the
-// bit-identity contract: self-healing on vs off changes nothing in a clean
-// run, on Jenga and the baselines, across exec worker counts.
+// (recovery disabled => the wedge is permanent), gray fault plans, the
+// bit-identity contract (a clean run attaches no detector, on Jenga and the
+// baselines, across exec worker counts), and a gray-heal episode that must
+// not storm.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -265,6 +266,47 @@ TEST(Recovery, RunnerArmsDetectorUnderGrayPlan) {
   EXPECT_EQ(result.stats.committed + result.stats.aborted, 45u);
   EXPECT_GT(result.detector.samples, 0u);
   EXPECT_GT(result.faults.gray_dropped, 0u);
+}
+
+/// No view-change storm under a gray fault.  The configuration of the
+/// benchmark's gray-heal workload (S=4, 8 nodes/shard, open-loop Poisson
+/// 15 tx/s, node 8 dropping 20% of its inbound deliveries from 120 s to
+/// 160 s) at a seed whose episode used to storm: a detector that doubled
+/// every replica's view timeout while the network-wide inter-arrival average
+/// ran high stretched its longest view change to 32 s and expired 1,209 txs
+/// in the mempool.  With the timeout only shrinking toward a suspected
+/// leader, nothing expires and view changes stay short.
+TEST(Recovery, GrayHealEpisodeHasNoViewChangeStorm) {
+  harness::RunConfig rc;
+  rc.kind = harness::SystemKind::kJenga;
+  rc.num_shards = 4;
+  rc.nodes_per_shard = 8;
+  rc.seed = 1001;
+  rc.contract_txs = 3000;
+  rc.transfer_txs = 1000;
+  rc.trace.num_contracts = 2000;
+  rc.trace.num_accounts = 20'000;
+  rc.arrival.mode = workload::ArrivalMode::kPoisson;
+  rc.arrival.rate_tps = 15.0;
+  GrayFault lossy;
+  lossy.kind = GrayFaultKind::kLossyNic;
+  lossy.at = 120 * kSecond;
+  lossy.duration = 40 * kSecond;
+  lossy.node = NodeId{8};
+  lossy.drop_rate = 0.20;
+  rc.faults_plan.gray.push_back(lossy);
+
+  const auto r = harness::run_experiment(rc);
+  const TxStats& st = r.stats;
+  EXPECT_EQ(st.expired, 0u);
+  EXPECT_EQ(st.committed + st.aborted + st.rejected + st.expired, 4000u);
+  EXPECT_EQ(st.committed + st.aborted, st.submitted);
+  ASSERT_TRUE(r.ingress.invariants_audited);
+  EXPECT_TRUE(r.ingress.invariants.ok()) << r.ingress.invariants.describe();
+  EXPECT_GT(r.faults.gray_dropped, 0u);
+  const auto* view_changes = r.telemetry->registry.find_histogram("bft.view_change_us");
+  ASSERT_NE(view_changes, nullptr);
+  EXPECT_LT(view_changes->max(), 10 * kSecond);
 }
 
 }  // namespace
