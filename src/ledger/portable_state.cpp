@@ -59,27 +59,27 @@ Result<PortableState> PortableState::decode(std::span<const std::uint8_t> data) 
   if (crc32c(payload) != crc)
     return Err(std::string("portable-state: checksum mismatch (corruption)"));
 
+  // Contract ids, slot keys and account ids must each be strictly ascending,
+  // as encode() writes them, so every accepted payload re-encodes to itself.
+  const auto undecodable = [] { return Err(std::string("portable-state: undecodable payload")); };
   Reader r(payload);
   PortableState out;
   const std::uint64_t contract_count = r.u64();
   for (std::uint64_t i = 0; i < contract_count && !r.failed(); ++i) {
     const ContractId id{r.u64()};
-    const std::uint64_t entries = r.u64();
-    ContractState st;
-    for (std::uint64_t j = 0; j < entries && !r.failed(); ++j) {
-      const std::uint64_t k = r.u64();
-      const std::uint64_t v = r.u64();
-      st[k] = v;
-    }
-    out.contracts[id] = std::move(st);
+    auto st = read_contract_state(r);
+    if (!st || (!out.contracts.empty() && !(out.contracts.rbegin()->first < id)))
+      return undecodable();
+    out.contracts.emplace_hint(out.contracts.end(), id, std::move(*st));
   }
   const std::uint64_t balance_count = r.u64();
   for (std::uint64_t i = 0; i < balance_count && !r.failed(); ++i) {
     const AccountId id{r.u64()};
-    out.balances[id] = r.u64();
+    const std::uint64_t bal = r.u64();
+    if (!out.balances.empty() && !(out.balances.rbegin()->first < id)) return undecodable();
+    out.balances.emplace_hint(out.balances.end(), id, bal);
   }
-  if (r.failed() || !r.exhausted())
-    return Err(std::string("portable-state: undecodable payload"));
+  if (r.failed() || !r.exhausted()) return undecodable();
   return out;
 }
 

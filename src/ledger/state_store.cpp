@@ -1,29 +1,44 @@
 #include "ledger/state_store.hpp"
 
+#include <array>
 #include <cassert>
 
-#include "common/codec.hpp"
 #include "crypto/sha256.hpp"
 
 namespace jenga::ledger {
 
 namespace {
 
-std::vector<std::uint8_t> make_key(std::uint8_t keyspace, std::uint64_t id) {
-  Writer w;
-  w.u8(keyspace);
-  w.u64(id);
-  return w.take();
+/// A state key (keyspace tag + little-endian u64 id) without a heap buffer.
+using KeyBytes = std::array<std::uint8_t, 9>;
+
+void store_le64(std::uint8_t* out, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+KeyBytes make_key(std::uint8_t keyspace, std::uint64_t id) {
+  KeyBytes k{};
+  k[0] = keyspace;
+  store_le64(k.data() + 1, id);
+  return k;
+}
+
+std::array<std::uint8_t, 8> account_value_bytes(std::uint64_t balance) {
+  std::array<std::uint8_t, 8> v{};
+  store_le64(v.data(), balance);
+  return v;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> state_key_account(AccountId id) {
-  return make_key(kKeyspaceAccount, id.value);
+  const KeyBytes k = make_key(kKeyspaceAccount, id.value);
+  return {k.begin(), k.end()};
 }
 
 std::vector<std::uint8_t> state_key_contract(ContractId id) {
-  return make_key(kKeyspaceContract, id.value);
+  const KeyBytes k = make_key(kKeyspaceContract, id.value);
+  return {k.begin(), k.end()};
 }
 
 Hash256 state_path(std::span<const std::uint8_t> key_bytes) {
@@ -35,19 +50,35 @@ Hash256 state_value_hash(std::span<const std::uint8_t> value_bytes) {
 }
 
 std::vector<std::uint8_t> encode_account_value(std::uint64_t balance) {
-  Writer w;
-  w.u64(balance);
-  return w.take();
+  const auto v = account_value_bytes(balance);
+  return {v.begin(), v.end()};
 }
 
 std::vector<std::uint8_t> encode_contract_value(const ContractState& st) {
-  Writer w;
-  w.u64(st.size());
-  for (const auto& [k, v] : st) {  // std::map: key order, canonical
-    w.u64(k);
-    w.u64(v);
+  std::vector<std::uint8_t> out(8 + 16 * st.size());
+  store_le64(out.data(), st.size());
+  std::size_t at = 8;
+  for (const auto& [k, v] : st) {  // ascending key order: canonical
+    store_le64(&out[at], k);
+    store_le64(&out[at + 8], v);
+    at += 16;
   }
-  return w.take();
+  return out;
+}
+
+std::optional<ContractState> read_contract_state(Reader& r) {
+  const std::uint64_t count = r.u64();
+  // A count the remaining bytes cannot hold is truncation; checking it first
+  // also keeps a corrupt count from sizing the reservation.
+  if (r.failed() || count > r.remaining() / 16) return std::nullopt;
+  ContractState st;
+  st.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t k = r.u64();
+    const std::uint64_t v = r.u64();
+    if (!st.append(k, v)) return std::nullopt;
+  }
+  return st;
 }
 
 Result<StateStore> StateStore::open(std::unique_ptr<StorageBackend> backend) {
@@ -69,17 +100,10 @@ Result<StateStore> StateStore::open(std::unique_ptr<StorageBackend> backend) {
         return Err(std::string("state: undecodable account value"));
       store.balances_[AccountId{id}] = bal;
     } else if (keyspace == kKeyspaceContract) {
-      const std::uint64_t count = vr.u64();
-      ContractState st;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t k = vr.u64();
-        const std::uint64_t v = vr.u64();
-        if (vr.failed()) break;
-        st[k] = v;
-      }
-      if (vr.failed() || !vr.exhausted())
+      auto st = read_contract_state(vr);
+      if (!st || !vr.exhausted())
         return Err(std::string("state: undecodable contract value"));
-      store.contract_states_[ContractId{id}] = std::move(st);
+      store.contract_states_[ContractId{id}] = std::move(*st);
     } else {
       return Err(std::string("state: unknown keyspace ") + std::to_string(keyspace));
     }
@@ -104,7 +128,7 @@ void StateStore::write_through(std::span<const std::uint8_t> key_bytes,
 
 void StateStore::create_account(AccountId id, std::uint64_t balance) {
   balances_[id] = balance;
-  write_through(state_key_account(id), encode_account_value(balance));
+  write_through(make_key(kKeyspaceAccount, id.value), account_value_bytes(balance));
 }
 
 bool StateStore::has_account(AccountId id) const { return balances_.contains(id); }
@@ -119,7 +143,7 @@ bool StateStore::set_balance(AccountId id, std::uint64_t balance) {
   const auto it = balances_.find(id);
   if (it == balances_.end()) return false;
   it->second = balance;
-  write_through(state_key_account(id), encode_account_value(balance));
+  write_through(make_key(kKeyspaceAccount, id.value), account_value_bytes(balance));
   return true;
 }
 
@@ -130,7 +154,7 @@ std::uint64_t StateStore::total_balance() const {
 }
 
 void StateStore::create_contract_state(ContractId id, ContractState initial) {
-  write_through(state_key_contract(id), encode_contract_value(initial));
+  write_through(make_key(kKeyspaceContract, id.value), encode_contract_value(initial));
   contract_states_[id] = std::move(initial);
 }
 
@@ -146,7 +170,7 @@ const ContractState* StateStore::contract_state(ContractId id) const {
 bool StateStore::set_contract_state(ContractId id, ContractState state) {
   const auto it = contract_states_.find(id);
   if (it == contract_states_.end()) return false;
-  write_through(state_key_contract(id), encode_contract_value(state));
+  write_through(make_key(kKeyspaceContract, id.value), encode_contract_value(state));
   it->second = std::move(state);
   return true;
 }

@@ -1,7 +1,7 @@
 // Per-shard state storage: account balances and contract key-value states,
 // plus the logic store (which, in Jenga, every node replicates).
 //
-// The flat maps are the read path; every mutation also feeds an authenticated
+// The hash maps are the read path; every mutation also feeds an authenticated
 // Merkle trie (trie.hpp) keyed by hashed state keys, so digest() is the
 // trie's incrementally-maintained root instead of a whole-store rehash.  An
 // optional StorageBackend receives the raw key/value bytes write-through —
@@ -10,14 +10,18 @@
 // refusing state whose rebuilt root does not match the committed root.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/result.hpp"
 #include "common/types.hpp"
 #include "ledger/storage_backend.hpp"
@@ -27,7 +31,69 @@
 namespace jenga::ledger {
 
 /// One contract's full state: the unit that Phase 1 locks and ships.
-using ContractState = std::map<std::uint64_t, std::uint64_t>;
+///
+/// Slots live in one vector sorted by key, so a copy is a single allocation
+/// rather than one tree node per slot, and iteration runs in ascending key
+/// order — the canonical order every encoding and digest relies on.  Offers
+/// the subset of std::map the protocol uses; `find` is a binary search and
+/// inserting a new key shifts the slots above it (states are small).
+class ContractState {
+ public:
+  using Entry = std::pair<std::uint64_t, std::uint64_t>;
+  using const_iterator = std::vector<Entry>::const_iterator;
+
+  ContractState() = default;
+  /// Like std::map, the first of two entries with the same key wins.
+  ContractState(std::initializer_list<Entry> init) {
+    for (const auto& [k, v] : init) {
+      const auto it = lower_bound(k);
+      if (it == slots_.end() || it->first != k) slots_.insert(it, {k, v});
+    }
+  }
+
+  [[nodiscard]] const_iterator begin() const { return slots_.begin(); }
+  [[nodiscard]] const_iterator end() const { return slots_.end(); }
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+  [[nodiscard]] bool empty() const { return slots_.empty(); }
+  void reserve(std::size_t n) { slots_.reserve(n); }
+
+  [[nodiscard]] const_iterator find(std::uint64_t key) const {
+    const auto it = std::lower_bound(slots_.begin(), slots_.end(), key, key_less);
+    return it != slots_.end() && it->first == key ? it : slots_.end();
+  }
+
+  /// The value at `key`, inserted as 0 if absent.
+  std::uint64_t& operator[](std::uint64_t key) {
+    const auto it = lower_bound(key);
+    if (it != slots_.end() && it->first == key) return it->second;
+    return slots_.insert(it, {key, 0})->second;
+  }
+
+  /// Throws std::out_of_range if `key` is absent.
+  [[nodiscard]] std::uint64_t at(std::uint64_t key) const {
+    const auto it = find(key);
+    if (it == end()) throw std::out_of_range("ContractState::at: no such key");
+    return it->second;
+  }
+
+  /// Appends an entry whose key is above every key held; returns false (and
+  /// changes nothing) otherwise.  The O(1) path for canonical decoding.
+  bool append(std::uint64_t key, std::uint64_t value) {
+    if (!slots_.empty() && slots_.back().first >= key) return false;
+    slots_.emplace_back(key, value);
+    return true;
+  }
+
+  friend bool operator==(const ContractState&, const ContractState&) = default;
+
+ private:
+  static bool key_less(const Entry& e, std::uint64_t key) { return e.first < key; }
+  std::vector<Entry>::iterator lower_bound(std::uint64_t key) {
+    return std::lower_bound(slots_.begin(), slots_.end(), key, key_less);
+  }
+
+  std::vector<Entry> slots_;
+};
 
 /// Storage model constants (DESIGN.md §5).
 inline constexpr std::uint64_t kAccountStateBytes = 128;
@@ -52,6 +118,11 @@ inline constexpr std::uint8_t kKeyspaceContract = 1;
 [[nodiscard]] Hash256 state_value_hash(std::span<const std::uint8_t> value_bytes);
 [[nodiscard]] std::vector<std::uint8_t> encode_account_value(std::uint64_t balance);
 [[nodiscard]] std::vector<std::uint8_t> encode_contract_value(const ContractState& st);
+/// The one decoder of encode_contract_value's layout (u64 count, then
+/// key/value pairs).  Rejects a truncated value and any key that is not
+/// strictly above the one before it, so every accepted state re-encodes to
+/// the bytes it was read from.  Leaves `r` positioned after the state.
+[[nodiscard]] std::optional<ContractState> read_contract_state(Reader& r);
 
 class StateStore {
  public:

@@ -1,6 +1,6 @@
 // Pluggable persistence under StateStore.
 //
-// The store keeps its working set in memory (flat maps + Merkle trie) and
+// The store keeps its working set in memory (hash maps + Merkle trie) and
 // write-throughs every mutation here.  Two implementations:
 //
 //   InMemoryBackend — a plain ordered map.  Durability is trivial (process

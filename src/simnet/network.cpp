@@ -149,40 +149,54 @@ void Network::deliver_at(SimTime when, NodeId to, Message msg) {
     telemetry_->net.hop_delay_us.record(when - sim_.now());
     telemetry_->causal.note_arrival(msg.span, when);
   }
-  sim_.schedule_at(when, [this, to, msg = std::move(msg)] {
-    // Re-checked at delivery time: a message in flight to a node that
-    // crashes before it lands is lost with the crash.
-    if (down_[to.value]) return;
-    // The handler (and everything it schedules or sends) runs in the causal
-    // context of this delivery; step() resets the context afterwards.
-    sim_.set_context(msg.span);
-    // Inter-arrival sampling for the failure detector: node-to-node traffic
-    // only (clients are reliable out-of-band), pure bookkeeping.
-    if (arrival_observer_ != nullptr && msg.from.value < handlers_.size() &&
-        msg.from.value != to.value)
-      arrival_observer_->on_arrival(msg.from, to, sim_.now());
-    if (telemetry_ != nullptr && telemetry_->flight.enabled()) {
-      telemetry::FlightEvent e;
-      e.at = sim_.now();
-      e.node = to.value;
-      e.kind = telemetry::FlightEvent::Kind::kDeliver;
-      e.msg_type = static_cast<std::uint16_t>(msg.type);
-      e.span = msg.span;
-      const telemetry::CausalSpan* s = telemetry_->causal.span(msg.span);
-      e.parent = s != nullptr ? s->parent : 0;
-      e.a = msg.from.value;
-      e.b = msg.size_bytes;
-      telemetry_->flight.record(to.value, e);
-    }
-    // Rumor transport traffic is consumed by the mesh, which unpacks and
-    // hands accepted rumors to the node handler via deliver_local (keeping
-    // the carrying hop's causal context).
-    if (rumor_ != nullptr && is_rumor_transport_type(msg.type)) {
-      rumor_->on_message(to, msg);
-      return;
-    }
-    handlers_[to.value](msg);
-  });
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(in_flight_.size()));
+    in_flight_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  in_flight_[slot] = InFlight{to, std::move(msg)};
+  sim_.schedule_at(when, Delivery{this, slot});
+}
+
+void Network::land(std::uint32_t slot) {
+  // Take the message out first: the handler may send, which can grow the
+  // slab and reuse this slot.
+  const NodeId to = in_flight_[slot].to;
+  const Message msg = std::move(in_flight_[slot].msg);
+  free_slots_.push_back(slot);
+  // Re-checked at delivery time: a message in flight to a node that
+  // crashes before it lands is lost with the crash.
+  if (down_[to.value]) return;
+  // The handler (and everything it schedules or sends) runs in the causal
+  // context of this delivery; step() resets the context afterwards.
+  sim_.set_context(msg.span);
+  // Inter-arrival sampling for the failure detector: node-to-node traffic
+  // only (clients are reliable out-of-band), pure bookkeeping.
+  if (arrival_observer_ != nullptr && msg.from.value < handlers_.size() &&
+      msg.from.value != to.value)
+    arrival_observer_->on_arrival(msg.from, to, sim_.now());
+  if (telemetry_ != nullptr && telemetry_->flight.enabled()) {
+    telemetry::FlightEvent e;
+    e.at = sim_.now();
+    e.node = to.value;
+    e.kind = telemetry::FlightEvent::Kind::kDeliver;
+    e.msg_type = static_cast<std::uint16_t>(msg.type);
+    e.span = msg.span;
+    const telemetry::CausalSpan* s = telemetry_->causal.span(msg.span);
+    e.parent = s != nullptr ? s->parent : 0;
+    e.a = msg.from.value;
+    e.b = msg.size_bytes;
+    telemetry_->flight.record(to.value, e);
+  }
+  // Rumor transport traffic is consumed by the mesh, which unpacks and
+  // hands accepted rumors to the node handler via deliver_local (keeping
+  // the carrying hop's causal context).
+  if (rumor_ != nullptr && is_rumor_transport_type(msg.type)) {
+    rumor_->on_message(to, msg);
+    return;
+  }
+  handlers_[to.value](msg);
 }
 
 void Network::stamp_span(Message& msg, std::uint32_t from, std::uint32_t to, SimTime send,

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -261,6 +262,10 @@ class Network {
   [[nodiscard]] const NetConfig& config() const { return config_; }
   [[nodiscard]] Simulator& simulator() { return sim_; }
 
+  /// Slots the in-flight message slab has grown to (the peak number of
+  /// messages in flight at once); delivered messages free theirs for reuse.
+  [[nodiscard]] std::size_t in_flight_slots() const { return in_flight_.size(); }
+
   /// Drops all traffic from/to a node (crash-fault injection).
   void set_node_down(NodeId id, bool down);
   [[nodiscard]] bool node_down(NodeId id) const;
@@ -326,17 +331,38 @@ class Network {
   /// Reserves the sender's egress link and returns the departure time.
   SimTime reserve_egress(NodeId from, std::uint32_t bytes);
   void account_sender(NodeId from, std::uint32_t bytes);
+  /// Parks `msg` in the in-flight slab and schedules its delivery.
   void deliver_at(SimTime when, NodeId to, Message msg);
+  /// The delivery event: frees `slot`, then hands its message to the node.
+  void land(std::uint32_t slot);
   /// Applies partition / drop / duplicate / extra-delay faults, then
   /// delivers.  Returns true if at least one copy was scheduled (gossip uses
   /// this to cut off the subtree of a relay that never received the message).
   bool deliver_faulty(NodeId from, SimTime when, NodeId to, Message msg);
   void account(TrafficClass cls, MsgType type, std::uint32_t bytes);
 
+  /// A message between send and delivery.  Slots of `in_flight_` are reused
+  /// through `free_slots_`, so the scheduled event only carries an index.
+  struct InFlight {
+    NodeId to;
+    Message msg;
+  };
+  /// The scheduled delivery event.  Trivially copyable and two pointers
+  /// wide, so std::function stores it inline instead of on the heap.
+  struct Delivery {
+    Network* net;
+    std::uint32_t slot;
+    void operator()() const { net->land(slot); }
+  };
+  static_assert(std::is_trivially_copyable_v<Delivery>);
+  static_assert(sizeof(Delivery) <= 2 * sizeof(void*));
+
   Simulator& sim_;
   NetConfig config_;
   Rng rng_;
   std::vector<Handler> handlers_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
   std::vector<SimTime> egress_busy_until_;
   std::vector<bool> down_;
   std::vector<std::uint8_t> partition_group_;

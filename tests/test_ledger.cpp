@@ -2,9 +2,13 @@
 // and placement rules.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <span>
+#include <stdexcept>
 
+#include "common/codec.hpp"
+#include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "ledger/block.hpp"
 #include "ledger/locks.hpp"
@@ -12,6 +16,7 @@
 #include "ledger/portable_state.hpp"
 #include "ledger/state_store.hpp"
 #include "ledger/transaction.hpp"
+#include "ledger/wal.hpp"
 
 namespace jenga::ledger {
 namespace {
@@ -323,6 +328,127 @@ TEST(PortableState, DecodeRejectsBitFlips) {
     auto r = PortableState::decode(bent);
     EXPECT_FALSE(r.ok()) << "flip in byte " << byte << " decoded";
   }
+}
+
+/// The JPS1 frame around a hand-built payload, with a valid CRC.
+std::vector<std::uint8_t> jps1_frame(const Writer& payload) {
+  Writer out;
+  out.u32(kPortableStateMagic);
+  out.u32(static_cast<std::uint32_t>(payload.size()));
+  out.u32(crc32c(payload.data()));
+  out.bytes(payload.data());
+  return out.take();
+}
+
+/// One contract (id 9) holding the given keys in the given order.
+std::vector<std::uint8_t> one_contract_payload(std::initializer_list<std::uint64_t> keys) {
+  Writer payload;
+  payload.u64(1);  // contracts
+  payload.u64(9);
+  payload.u64(keys.size());
+  for (std::uint64_t k : keys) {
+    payload.u64(k);
+    payload.u64(k * 10);
+  }
+  payload.u64(0);  // balances
+  return jps1_frame(payload);
+}
+
+TEST(PortableState, DecodeRejectsKeysOutOfOrder) {
+  // Well framed and checksummed, so only the key order decides.
+  EXPECT_TRUE(PortableState::decode(one_contract_payload({3, 5})).ok());
+  EXPECT_FALSE(PortableState::decode(one_contract_payload({5, 3})).ok());
+  EXPECT_FALSE(PortableState::decode(one_contract_payload({5, 5})).ok());
+
+  Writer two;
+  two.u64(2);
+  for (std::uint64_t id : {7, 2}) {  // contract ids descending
+    two.u64(id);
+    two.u64(0);
+  }
+  two.u64(0);
+  EXPECT_FALSE(PortableState::decode(jps1_frame(two)).ok());
+}
+
+/// Any map-like range as a flat list of (key, value) pairs, in its order.
+template <typename Range>
+std::vector<ContractState::Entry> entries_of(const Range& r) {
+  return {r.begin(), r.end()};
+}
+
+std::vector<std::uint8_t> reference_encoding(const std::map<std::uint64_t, std::uint64_t>& ref) {
+  Writer w;
+  w.u64(ref.size());
+  for (const auto& [k, v] : ref) {
+    w.u64(k);
+    w.u64(v);
+  }
+  return w.take();
+}
+
+TEST(ContractState, MatchesStdMapUnderRandomOps) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    ContractState st;
+    std::map<std::uint64_t, std::uint64_t> ref;
+    for (int step = 0; step < 300; ++step) {
+      const std::uint64_t key = rng.uniform(48);  // small space: hits and misses
+      switch (rng.uniform(4)) {
+        case 0: {  // insert or update
+          const std::uint64_t v = rng.uniform(1000);
+          st[key] = v;
+          ref[key] = v;
+          break;
+        }
+        case 1: {  // find, hit or miss
+          const auto it = st.find(key);
+          const auto rit = ref.find(key);
+          ASSERT_EQ(it == st.end(), rit == ref.end());
+          if (rit != ref.end()) {
+            EXPECT_EQ(it->second, rit->second);
+            EXPECT_EQ(st.at(key), rit->second);
+          }
+          break;
+        }
+        case 2:  // read through operator[]: inserts 0 when absent
+          EXPECT_EQ(st[key], ref[key]);
+          break;
+        default: {  // copies compare equal and stay independent
+          ContractState copy = st;
+          EXPECT_EQ(copy, st);
+          copy[key + 1000] = 1;
+          EXPECT_FALSE(copy == st);
+          break;
+        }
+      }
+      ASSERT_EQ(st.size(), ref.size());
+      ASSERT_EQ(entries_of(st), entries_of(ref));
+      ASSERT_EQ(encode_contract_value(st), reference_encoding(ref));
+    }
+
+    PortableState bundle;
+    bundle.contracts[ContractId{seed}] = st;
+    const auto wire = bundle.encode();
+    auto decoded = PortableState::decode(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.error();
+    EXPECT_EQ(decoded.value().contracts.at(ContractId{seed}), st);
+    EXPECT_EQ(decoded.value().encode(), wire);
+  }
+}
+
+TEST(ContractState, AtThrowsOnMissingKey) {
+  const ContractState st{{1, 10}};
+  EXPECT_EQ(st.at(1), 10u);
+  EXPECT_THROW((void)st.at(2), std::out_of_range);
+  EXPECT_THROW((void)ContractState{}.at(0), std::out_of_range);
+}
+
+TEST(ContractState, InitializerListKeepsFirstDuplicate) {
+  const ContractState st{{4, 1}, {2, 7}, {4, 2}};
+  const std::map<std::uint64_t, std::uint64_t> ref{{4, 1}, {2, 7}, {4, 2}};
+  ASSERT_EQ(st.size(), 2u);
+  EXPECT_EQ(st.at(4), 1u);
+  EXPECT_EQ(entries_of(st), entries_of(ref));
 }
 
 TEST(Placement, DeterministicAndInRange) {

@@ -1,6 +1,7 @@
 // Event queue and network timing model.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "simnet/network.hpp"
@@ -202,6 +203,60 @@ TEST_F(NetworkTest, DownNodeDropsTraffic) {
   net_.send(NodeId{0}, NodeId{1}, make_msg(10), TrafficClass::kIntraShard);
   sim_.run_until_idle();
   EXPECT_EQ(received_.size(), 1u);
+}
+
+// In-flight messages sit in a slab whose slots are reused once delivered.
+
+TEST_F(NetworkTest, SameInstantDeliveriesKeepSendOrderAfterSlotReuse) {
+  // Client sends pay no serialization, so every message sent at one instant
+  // lands at one instant, and the slab's reuse order must not leak into the
+  // delivery order.
+  for (int i = 0; i < 3; ++i) net_.client_send(NodeId{1}, make_msg(10, 100 + i));
+  sim_.run_until_idle();
+  ASSERT_EQ(net_.in_flight_slots(), 3u);
+  received_.clear();
+
+  for (std::uint32_t i = 0; i < 6; ++i)
+    net_.client_send(NodeId{(i * 5) % 8}, make_msg(10, static_cast<int>(i)));
+  EXPECT_EQ(net_.in_flight_slots(), 6u);  // three reused, three new
+  sim_.run_until_idle();
+  ASSERT_EQ(received_.size(), 6u);
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(received_[i].to, NodeId{(i * 5) % 8});
+    EXPECT_EQ(payload_as<IntPayload>(received_[i].msg).value, static_cast<int>(i));
+    EXPECT_EQ(received_[i].at, received_[0].at);
+  }
+}
+
+TEST_F(NetworkTest, NodeDownBeforeLandingDropsMessageAndFreesSlot) {
+  net_.send(NodeId{0}, NodeId{1}, make_msg(10, 1), TrafficClass::kIntraShard);
+  net_.set_node_down(NodeId{1}, true);  // crashes while the message is in flight
+  sim_.run_until_idle();
+  EXPECT_TRUE(received_.empty());
+  EXPECT_EQ(net_.in_flight_slots(), 1u);
+
+  net_.set_node_down(NodeId{1}, false);
+  net_.send(NodeId{0}, NodeId{1}, make_msg(10, 2), TrafficClass::kIntraShard);
+  sim_.run_until_idle();
+  ASSERT_EQ(received_.size(), 1u);
+  EXPECT_EQ(payload_as<IntPayload>(received_[0].msg).value, 2);
+  EXPECT_EQ(net_.in_flight_slots(), 1u);  // the dropped message's slot
+}
+
+TEST(NetworkSlab, DestroyedWithPendingDeliveriesReleasesMessages) {
+  Simulator sim;
+  std::weak_ptr<const Payload> payload;
+  {
+    Network net(sim, NetConfig{}, Rng(3));
+    for (std::uint32_t i = 0; i < 3; ++i) net.register_node(NodeId{i}, [](const Message&) {});
+    const Message m = make_message<IntPayload>(MsgType::kClientTx, NodeId{0}, 10, 7);
+    payload = m.payload;
+    net.send(NodeId{0}, NodeId{1}, m, TrafficClass::kIntraShard);
+    net.send(NodeId{0}, NodeId{2}, m, TrafficClass::kIntraShard);
+    EXPECT_EQ(sim.pending_events(), 2u);
+  }
+  // The slab owned the only copies; the queued events are never run.
+  EXPECT_TRUE(payload.expired());
 }
 
 TEST_F(NetworkTest, PayloadSharedAcrossDeliveries) {

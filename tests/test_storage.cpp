@@ -9,6 +9,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "ledger/state_store.hpp"
@@ -612,6 +613,47 @@ TEST(Corruption, CommitRootMismatchIsRefused) {
       std::make_unique<DurableBackend>(&env, DurableOptions{.snapshot_interval = 0}));
   ASSERT_FALSE(store.ok());
   EXPECT_NE(store.error().find("root"), std::string::npos) << store.error();
+}
+
+TEST(Corruption, NonCanonicalContractValueIsRefused) {
+  // A committed contract value whose slot key repeats: every CRC and the
+  // committed root check out, but the value has no canonical decoding.
+  Writer value;
+  value.u64(2);
+  for (std::uint64_t k : {4, 4}) {
+    value.u64(k);
+    value.u64(k + 1);
+  }
+  const std::vector<std::uint8_t> key = state_key_contract(ContractId{5});
+  MerkleTrie trie;
+  trie.put(state_path(key), state_value_hash(value.data()));
+
+  MemStorageEnv env;
+  StorageFile* file = env.open("state.wal");
+  WalWriter writer(file);
+  WalRecord gen;
+  gen.seq = 1;
+  gen.op = WalOp::kGeneration;
+  gen.key.assign(8, 0);
+  gen.key[0] = 1;
+  writer.append(gen);
+  WalRecord put;
+  put.seq = 2;
+  put.op = WalOp::kPut;
+  put.key = key;
+  put.value = value.data();
+  writer.append(put);
+  WalRecord commit;
+  commit.seq = 3;
+  commit.op = WalOp::kCommit;
+  commit.root = trie.root();
+  writer.append(commit);
+  file->sync();
+
+  auto store = StateStore::open(
+      std::make_unique<DurableBackend>(&env, DurableOptions{.snapshot_interval = 0}));
+  ASSERT_FALSE(store.ok());
+  EXPECT_NE(store.error().find("contract value"), std::string::npos) << store.error();
 }
 
 // --- proof-verified state sync -----------------------------------------------
